@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check lint ruff test bench chaos scale bench-shards telemetry bench-telemetry incremental bench-incremental analyze bench-analyze durable bench-durable ingest bench-ingest serve bench-serve reshard bench-reshard
+.PHONY: check lint ruff test bench bench-check chaos scale bench-shards telemetry bench-telemetry incremental bench-incremental analyze bench-analyze durable bench-durable ingest bench-ingest serve bench-serve reshard bench-reshard
 
 check:
 	bash scripts/check.sh
@@ -19,6 +19,19 @@ test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
+
+# Benchmark guard (the CI bench-check job): the perfbench harness's own
+# tests (every tracer target must still resolve in the program), then one
+# short run of each BENCHMARK.json workload, whose last output line must
+# read "correct": true (its outputs match perfbench/pins.json).
+bench-check:
+	$(PYTHON) -m pytest perfbench/tests -q
+	@for workload in epochs_e2e write_durable read_mixed; do \
+		echo "== perfbench $$workload =="; \
+		$(PYTHON) perfbench/run.py --workload $$workload --seconds 1 | tail -n 1 \
+			| $(PYTHON) -c 'import json, sys; sys.exit(json.loads(sys.stdin.read())["correct"] is not True)' \
+			|| { echo "$$workload: outputs differ from perfbench/pins.json"; exit 1; }; \
+	done
 
 # Fault-matrix suite: the upload pipeline under scripted drops, outages,
 # crashes, and skew (tests/faults), plus the containment lint rule.
@@ -88,16 +101,17 @@ durable:
 bench-durable:
 	$(PYTHON) -m pytest benchmarks/test_bench_durability.py --benchmark-only -q -s
 
-# Intake-path suite (the CI ingest job): batched-vs-per-record byte
-# identity across the deployment matrix, backpressure/shed invariants,
+# Intake-path suite (the CI ingest job): the intake loop against the
+# per-record oracle across the deployment matrix, the malformed-nonce
+# regression, backpressure/shed invariants,
 # the load generator, the soak smoke (including an overload window), the
 # batch-routing regression, and the line-coverage floor on repro.ingest.
 ingest:
 	$(PYTHON) -m pytest tests/ingest tests/scale/test_batch_routing.py -q
 	$(PYTHON) scripts/coverage_gate.py --target ingest --fail-under 85
 
-# Batched-vs-per-record intake throughput + soak benchmark; emits
-# BENCH_8.json at the repo root.
+# Batched vs per-record (batch-of-one) intake throughput + soak
+# benchmark; emits BENCH_8.json at the repo root.
 bench-ingest:
 	$(PYTHON) -m pytest benchmarks/test_bench_ingest.py --benchmark-only -q -s
 

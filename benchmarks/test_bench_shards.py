@@ -105,8 +105,8 @@ def test_bench_sharded_maintenance_speedup(benchmark):
         workers=0,
     )
     assert mono.receive_all(deliveries) == len(deliveries)
-    assert sharded.receive_batch(deliveries) == len(deliveries)
-    assert serial.receive_batch(deliveries) == len(deliveries)
+    assert sharded.receive_all(deliveries) == len(deliveries)
+    assert serial.receive_all(deliveries) == len(deliveries)
 
     start = time.perf_counter()
     mono_report = mono.run_maintenance()

@@ -103,7 +103,7 @@ def run_cycle(town, deliveries, telemetry=None):
     if telemetry is not None:
         server.attach_telemetry(telemetry)
     start = time.perf_counter()
-    accepted = server.receive_batch(deliveries)
+    accepted = server.receive_all(deliveries)
     mid = time.perf_counter()
     report = server.run_maintenance()
     end = time.perf_counter()

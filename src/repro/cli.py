@@ -226,7 +226,6 @@ def _cmd_epochs(args: argparse.Namespace) -> int:
         durable_dir=args.durable_dir,
         replicate=args.replicate,
         snapshot_every=args.snapshot_every,
-        ingest_batch=args.ingest_batch,
         queue_depth=args.queue_depth,
         reshard_schedule=reshard_schedule,
         autoscale=autoscale,
@@ -236,14 +235,8 @@ def _cmd_epochs(args: argparse.Namespace) -> int:
             f"epoch {epoch}: {op.describe()}" for epoch, op in outcome.reshard_ops
         )
         print(f"resharding: {applied}")
-    if args.ingest_batch or args.queue_depth is not None:
-        front = "batched" if args.ingest_batch else "per-record"
-        bound = (
-            f"bounded queue depth {args.queue_depth}"
-            if args.queue_depth is not None
-            else "unbounded intake"
-        )
-        print(f"ingest: {front} front end, {bound}")
+    if args.queue_depth is not None:
+        print(f"ingest: bounded queue depth {args.queue_depth}")
     if plan is not None:
         print(f"fault injection: {plan.describe()}")
     if args.durable_dir is not None:
@@ -614,10 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
     epochs.add_argument(
         "--replica-outage-epoch", type=int, default=None,
         help="epoch (1-based) during which log shipping is down",
-    )
-    epochs.add_argument(
-        "--ingest-batch", action="store_true",
-        help="route intake through the batched front end (repro.ingest)",
     )
     epochs.add_argument(
         "--queue-depth", type=int, default=None,

@@ -2,11 +2,10 @@
 
 Three pieces, composable but independent:
 
-* :mod:`repro.ingest.columnar` — :func:`ingest_all`, the batched
-  decode/validate/dedup/dispatch kernel.  Byte-identical to per-record
-  :meth:`RSPServer.receive_all` (reports, counters, telemetry exports,
-  WAL bytes) at a fraction of the per-envelope overhead; works against
-  both the monolith and the sharded deployment.
+* :func:`ingest_all` — hands one batch of deliveries to either server
+  deployment's ``receive_all``, which runs every envelope through the
+  one intake loop, :func:`repro.service.intake.intake` (outage, nonce
+  shape, token, nonce dedup, kind dispatch, WAL-before-ack).
 * :mod:`repro.ingest.queue` — :class:`BoundedIntakeQueue`, admission
   control with deterministic shed-before-journal load-shedding and
   ``rsp.ingest.*`` telemetry.
@@ -25,7 +24,6 @@ servers use.  See ``docs/SCALING.md`` (ingest path) and
 
 from __future__ import annotations
 
-from repro.ingest.columnar import ingest_all
 from repro.ingest.loadgen import SyntheticTraffic, WorkloadConfig, synthetic_catalog
 from repro.ingest.queue import BoundedIntakeQueue
 from repro.ingest.soak import SoakConfig, SoakReport, run_soak
@@ -40,3 +38,13 @@ __all__ = [
     "run_soak",
     "synthetic_catalog",
 ]
+
+
+def ingest_all(server, deliveries, now: float | None = None) -> int:
+    """Process one batch through ``server``'s intake loop.
+
+    Works against the monolith and the sharded deployment alike and
+    returns the number of accepted envelopes.  ``now`` overrides the time
+    the outage check sees, as in ``receive_all``.
+    """
+    return server.receive_all(deliveries, now=now)

@@ -1,11 +1,11 @@
 """Sustained-traffic soak harness: the intake path under steady load.
 
-The differential suites prove the batched intake path is *correct*; this
-module measures whether it *holds up*: a tick loop drives Zipf-shaped
-synthetic traffic (:mod:`repro.ingest.loadgen`) through the bounded
-queue (:mod:`repro.ingest.queue`) into a tokenless :class:`RSPServer`
-via :func:`repro.ingest.columnar.ingest_all`, and reports steady-state
-events/sec and p99 intake latency after a warmup window.
+The differential suites prove the intake loop is *correct*; this module
+measures whether it *holds up*: a tick loop drives Zipf-shaped synthetic
+traffic (:mod:`repro.ingest.loadgen`) through the bounded queue
+(:mod:`repro.ingest.queue`) into a tokenless :class:`RSPServer`'s
+``receive_all``, and reports steady-state events/sec and p99 intake
+latency after a warmup window.
 
 Simulated time advances ``tick_seconds`` per tick (arrival times, outage
 windows, ingest-lag telemetry all live on the simulated clock);
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ingest.columnar import ingest_all
 from repro.ingest.loadgen import SyntheticTraffic, WorkloadConfig
 from repro.ingest.queue import BoundedIntakeQueue
 from repro.service.server import RSPServer
@@ -170,7 +169,7 @@ def run_soak(
         start = _stamp()
         batch = queue.drain(config.drain_limit)
         if batch:
-            ingest_all(server, batch, now=now)
+            server.receive_all(batch, now=now)
         end = _stamp()
         for _ in batch:
             queued_at = offer_stamps.popleft()

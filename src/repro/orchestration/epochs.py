@@ -24,7 +24,7 @@ from repro.core.classifier import OpinionClassifier
 from repro.durability.journal import DurableJournal, attach_journal
 from repro.durability.replication import ReplicatedRSPServer, ReplicationChannel
 from repro.faults import FaultInjector, FaultPlan
-from repro.ingest import BoundedIntakeQueue, ingest_all
+from repro.ingest import BoundedIntakeQueue
 from repro.privacy.anonymity import AnonymityNetwork, batching_network
 from repro.reshard import Autoscaler, AutoscalePolicy, ReshardOp, perform
 from repro.sensing.policy import duty_cycled_policy
@@ -128,7 +128,6 @@ def run_epochs(
     durable_dir: str | Path | None = None,
     replicate: bool = False,
     snapshot_every: int = 1,
-    ingest_batch: bool = False,
     queue_depth: int | None = None,
     serve_queries: int = 0,
     reshard_schedule: dict[int, list[ReshardOp]] | None = None,
@@ -169,12 +168,8 @@ def run_epochs(
     ``n_shards``/``workers``, never change any report the driver emits
     (see docs/DURABILITY.md).
 
-    ``ingest_batch`` routes every intake through the batched front end
-    (:func:`repro.ingest.ingest_all`) instead of per-record
-    ``receive_all`` — contractually byte-identical in every report and
-    telemetry export (``tests/ingest/test_differential.py``), so it is a
-    pure performance knob like ``n_shards``.  ``queue_depth`` bounds
-    intake behind a :class:`~repro.ingest.BoundedIntakeQueue`: arrivals
+    Intake hands each delivery batch to ``server.receive_all``.
+    ``queue_depth`` bounds intake behind a :class:`~repro.ingest.BoundedIntakeQueue`: arrivals
     beyond the bound are deterministically shed *before* journaling
     (counted under ``rsp.ingest.shed``), so unlike every other knob it
     *can* change reports under overload — it defaults off and exists for
@@ -225,15 +220,12 @@ def run_epochs(
 
     def intake(target, deliveries, when: float | None) -> None:
         # One seam for both intake sites: optional bounded-queue admission
-        # (shed-before-journal), then batched or per-record dispatch.  The
+        # (shed-before-journal), then the server's batch intake.  The
         # target is passed per call because failover rebinds ``server``.
         if intake_queue is not None:
             intake_queue.offer_all(deliveries)
             deliveries = intake_queue.drain()
-        if ingest_batch:
-            ingest_all(target, deliveries, now=when)
-        else:
-            target.receive_all(deliveries, now=when)
+        target.receive_all(deliveries, now=when)
 
     def make_server() -> RSPServer | ShardedRSPServer:
         if n_shards == 1 and workers == 0:

@@ -24,38 +24,31 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.aggregation import EntityOpinionSummary, OpinionUpload
-from repro.core.discovery import DiscoveryService, Query, SearchResponse
 from repro.core.protocol import Envelope
-from repro.core.visualization import ComparativeVisualization, compare_entities
-from repro.fraud.attestation import AttestationQuote, AttestationVerifier
+from repro.fraud.attestation import AttestationVerifier
 from repro.fraud.detector import DetectorConfig
 from repro.fraud.profiles import profiles_from_pools
 from repro.privacy.anonymity import Delivery
-from repro.privacy.history_store import InteractionHistory, InteractionUpload
-from repro.privacy.tokens import TokenIssuer, UploadToken
+from repro.privacy.history_store import InteractionHistory
+from repro.privacy.tokens import UploadToken
 from repro.scale import parallel
 from repro.scale.kernel import GatherFrame, build_gather, kept_counts
 from repro.scale.merge import group_verdicts_by_entity, merge_pools
 from repro.scale.router import ShardRouter
 from repro.scale.shard import ShardState
 from repro.service.incremental import MaintenanceEngine
+from repro.service.intake import intake
 from repro.service.server import (
     ExplicitReview,
     MaintenanceReport,
+    ServiceFacade,
     emit_maintenance_telemetry,
 )
-from repro.telemetry import DEPLOYMENT, NULL, Telemetry
-from repro.telemetry.catalog import (
-    INGEST_LAG_BUCKETS,
-    INTAKE_BATCH_BUCKETS,
-    SHARD_BATCH_BUCKETS,
-)
+from repro.telemetry import DEPLOYMENT
 from repro.world.entities import Entity
 
 if TYPE_CHECKING:
     from repro.serve.engine import ServeQuery, ServeResponse
-    from repro.serve.facade import ServingLayer
 
 
 class ShardedTokenRedeemer:
@@ -126,8 +119,16 @@ class ShardedStoreView:
         return entities
 
 
-class ShardedRSPServer:
-    """The re-architected service, partitioned for horizontal scale."""
+class ShardedRSPServer(ServiceFacade):
+    """The re-architected service, partitioned for horizontal scale.
+
+    A ``journal`` installed here is a per-shard-lane
+    :class:`~repro.durability.journal.DurableJournal` built with
+    ``lane_of=self.router.shard_of``, so each shard's mutations land in
+    their own WAL file.  Aggregate telemetry carries the *same* names and
+    values as the monolith's; per-shard detail goes under DEPLOYMENT
+    scope, outside the invariant digest.
+    """
 
     def __init__(
         self,
@@ -142,18 +143,18 @@ class ShardedRSPServer:
         workers: int = 0,
         incremental: bool = True,
     ) -> None:
-        if not catalog:
-            raise ValueError("catalog must be non-empty")
+        super().__init__(
+            catalog,
+            quota_per_day,
+            key_seed,
+            key_bits,
+            require_tokens,
+            detector_config,
+            attestation,
+            incremental,
+        )
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = serial)")
-        self.catalog = {entity.entity_id: entity for entity in catalog}
-        self.entity_kinds = {e.entity_id: e.kind.label for e in catalog}
-        self.issuer = TokenIssuer(
-            quota_per_day=quota_per_day, key_seed=key_seed, key_bits=key_bits
-        )
-        self.require_tokens = require_tokens
-        self.attestation = attestation
-        self.rejected_attestations = 0
         self.router = ShardRouter(n_shards)
         #: Worker processes for maintenance (0 = in-process serial).
         self.workers = workers
@@ -166,106 +167,35 @@ class ShardedRSPServer:
         self.shards = [ShardState(index, key_seed) for index in range(n_shards)]
         self._redeemer = ShardedTokenRedeemer(self.issuer.public_key, self.router)
         self._nonce_buckets: list[set[bytes]] = [set() for _ in range(n_shards)]
-        self._discovery = DiscoveryService(catalog)
-        self._detector_config = detector_config
-        #: ``False`` forces full kernel recompute every cycle; ``True``
-        #: re-filters/re-summarizes only dirty entities serially when the
-        #: dirty set is small, falling back to the pooled kernel when
-        #: most of the deployment is dirty anyway (the hybrid keeps both
-        #: paths byte-identical — ``tests/scale/test_incremental.py``).
-        self.incremental = incremental
-        self._engine = MaintenanceEngine(
-            ShardedStoreView(self), self.entity_kinds, detector_config
-        )
-        # Aliases into the engine's caches (mutated in place only).
-        self._summaries: dict[str, EntityOpinionSummary] = self._engine.summaries
-        self._accepted_histories: dict[str, list[InteractionHistory]] = (
-            self._engine.accepted
+        # With ``incremental=True``, maintenance re-filters/re-summarizes
+        # only dirty entities serially when the dirty set is small,
+        # falling back to the pooled kernel when most of the deployment is
+        # dirty anyway (the hybrid keeps both paths byte-identical —
+        # ``tests/scale/test_incremental.py``).
+        self._adopt_engine(
+            MaintenanceEngine(ShardedStoreView(self), self.entity_kinds, detector_config)
         )
         self._gather: GatherFrame | None = None
         self._gather_versions: tuple[int, ...] | None = None
-        self.rejected_envelopes = 0
-        self.duplicates_suppressed = 0
-        self.accepted_envelopes = 0
-        self.dropped_by_outage = 0
-        #: Stale opinion re-uploads dropped by ``seq`` ordering (mirrors
-        #: :class:`~repro.service.server.RSPServer`).
-        self.opinions_stale = 0
-        #: Interaction uploads whose identifier is bound to another
-        #: entity (split from generic ``unstored`` storage failures).
-        self.history_mismatches = 0
         #: Times the worker pool died and maintenance re-ran serially.
         self.pool_fallbacks = 0
-        #: Optional harness hook with ``server_down(now) -> bool``.
-        self.fault_hook = None
-        #: Optional durability hook (duck-typed like ``fault_hook``); the
-        #: driver installs a per-shard-lane
-        #: :class:`repro.durability.journal.DurableJournal` built with
-        #: ``lane_of=self.router.shard_of`` so each shard's mutations
-        #: land in their own WAL file.
-        self.journal = None
-        #: Aggregate metrics here are emitted with the *same* names and
-        #: values as the monolith's (integer arithmetic makes them
-        #: grouping-order independent); per-shard detail is emitted under
-        #: DEPLOYMENT scope and excluded from the invariant digest.
-        self.telemetry: Telemetry = NULL
-        #: Lazily constructed read path (see :attr:`serving`).
-        self._serving = None
 
-    def attach_telemetry(self, telemetry: Telemetry) -> None:
-        """Install a shared telemetry sink on the facade and its issuer."""
-        self.telemetry = telemetry
-        self.issuer.telemetry = telemetry
+    def _intake_lanes(self):
+        return self.router, self.shards, self._nonce_buckets
 
-    # --------------------------------------------------------------- serving
+    def receive_all(
+        self, deliveries: list[Delivery[Envelope]], now: float | None = None
+    ) -> int:
+        """Process one batch: route each record once, then lane by lane.
 
-    def attach_serving(self, **kwargs) -> "ServingLayer":
-        """Build the indexed serving layer (see :mod:`repro.serve`).
-
-        The layer duck-types the server, so this is the identical call
-        surface (and the identical behaviour, byte for byte) as
-        :meth:`repro.service.server.RSPServer.attach_serving`.
+        See :func:`repro.service.intake.intake`; returns how many were
+        accepted, with one group commit across all WAL lanes.
         """
-        from repro.serve.facade import ServingLayer
-
-        self._serving = ServingLayer(self, **kwargs)
-        return self._serving
-
-    @property
-    def serving(self) -> "ServingLayer":
-        """The read path, constructed on first use (lazy for the same
-        telemetry-stability reason as the monolith's)."""
-        if self._serving is None:
-            self.attach_serving()
-        return self._serving
+        return intake(self, deliveries, now)
 
     def query(self, query: "ServeQuery") -> "ServeResponse":
         """Answer a read-path query through the cached serving layer."""
         return self.serving.query(query)
-
-    # ------------------------------------------------------------- intake
-
-    def issue_tokens(
-        self,
-        # Issuance-side identity only; the blind signature unlinks the
-        # redeemed token from this device (Section 4.2).
-        device_id: str,  # repro: allow[priv-server-identity]
-        blinded_values: list[int],
-        now: float,
-        quote: AttestationQuote | None = None,
-    ) -> list[int]:
-        """Blind-sign upload tokens for an attested device.
-
-        Issuance is a single-endpoint concern (quota windows are per
-        device), so it is not sharded; only redemption state is.
-        """
-        if self.attestation is not None:
-            if quote is None or not self.attestation.verify(quote):
-                self.rejected_attestations += 1
-                raise PermissionError(
-                    f"device {device_id} failed attestation; no tokens issued"
-                )
-        return self.issuer.issue(device_id, blinded_values, now=now)
 
     def post_review(
         self,
@@ -290,224 +220,6 @@ class ShardedRSPServer:
         shard.reviews.setdefault(entity_id, []).append(review)
         shard.dirty_entities.add(entity_id)
         self.telemetry.inc("rsp.reviews.posted")
-
-    def receive(self, delivery: Delivery[Envelope], now: float | None = None) -> bool:
-        """Process one anonymous envelope off the network.
-
-        Same check order, classification nuances, transactional accept
-        semantics, and ``now`` override as :meth:`RSPServer.receive` —
-        only the tables are partitioned.
-        """
-        return self._receive_one(delivery, now=now)
-
-    def receive_all(
-        self, deliveries: list[Delivery[Envelope]], now: float | None = None
-    ) -> int:
-        return self.receive_batch(deliveries, now=now)
-
-    def receive_batch(
-        self, deliveries: list[Delivery[Envelope]], now: float | None = None
-    ) -> int:
-        """Batched intake: route once per envelope, group per shard, process.
-
-        Grouping amortizes per-shard dispatch and keeps each shard's
-        writes contiguous.  Relative order *within* a shard follows the
-        delivery order, and all state an envelope touches (its history,
-        its opinion slot, its nonce bucket, its token bucket) is keyed by
-        values the envelope itself carries — so regrouping across shards
-        cannot change any accept/reject/duplicate outcome.
-
-        Each envelope's route is derived exactly once here and handed to
-        :meth:`_receive_one` as a hint (it used to be re-derived inside
-        the store dispatch, doubling the SHA-256 routing work per record).
-        A ``None`` route marks a record without a string ``history_id``:
-        it sorts into shard 0 like before, but the hint stays unset so the
-        store dispatch re-derives — and classifies — exactly as a direct
-        :meth:`receive` would.  When every envelope routes to the same
-        shard (the common case for a client's sync burst and for replayed
-        backlogs), the fast path skips the per-shard group allocation
-        entirely and walks the batch in place.
-        """
-        self.telemetry.observe(
-            "rsp.intake.batch", len(deliveries), buckets=INTAKE_BATCH_BUCKETS
-        )
-        shard_of = self.router.shard_of
-        routes: list[int | None] = []
-        single: int | None = None
-        mixed = False
-        for delivery in deliveries:
-            key = getattr(delivery.payload.record, "history_id", None)
-            route = shard_of(key) if isinstance(key, str) else None
-            routes.append(route)
-            group_index = 0 if route is None else route
-            if single is None:
-                single = group_index
-            elif group_index != single:
-                mixed = True
-        accepted = 0
-        if not mixed:
-            if deliveries:
-                self.telemetry.observe(
-                    "rsp.shard.batch",
-                    len(deliveries),
-                    buckets=SHARD_BATCH_BUCKETS,
-                    scope=DEPLOYMENT,
-                    shard=single,
-                )
-            for delivery, route in zip(deliveries, routes):
-                if self._receive_one(delivery, now=now, shard_hint=route):
-                    accepted += 1
-        else:
-            groups: list[list[tuple[Delivery[Envelope], int | None]]] = [
-                [] for _ in range(self.router.n_shards)
-            ]
-            for delivery, route in zip(deliveries, routes):
-                groups[0 if route is None else route].append((delivery, route))
-            for shard_index, group in enumerate(groups):
-                if group:
-                    self.telemetry.observe(
-                        "rsp.shard.batch",
-                        len(group),
-                        buckets=SHARD_BATCH_BUCKETS,
-                        scope=DEPLOYMENT,
-                        shard=shard_index,
-                    )
-                for delivery, route in group:
-                    if self._receive_one(delivery, now=now, shard_hint=route):
-                        accepted += 1
-        if self.journal is not None:
-            # Group commit across all lanes (see RSPServer.receive_all).
-            self.journal.sync_to_disk()
-        return accepted
-
-    def _receive_one(
-        self,
-        delivery: Delivery[Envelope],
-        now: float | None = None,
-        shard_hint: int | None = None,
-    ) -> bool:
-        envelope = delivery.payload
-        if self.fault_hook is not None and self.fault_hook.server_down(
-            delivery.arrival_time if now is None else now
-        ):
-            self.dropped_by_outage += 1
-            self.telemetry.inc("rsp.envelopes.outage_dropped")
-            return False
-        nonce = getattr(envelope, "nonce", None)
-        nonce_bucket = (
-            None
-            if nonce is None
-            else self._nonce_buckets[self.router.shard_of_bytes(nonce)]
-        )
-        if self.require_tokens:
-            if envelope.token is None or not self._redeemer.redeem(envelope.token):
-                if nonce_bucket is not None and nonce in nonce_bucket:
-                    self.duplicates_suppressed += 1
-                    self.telemetry.inc("rsp.envelopes.duplicate")
-                else:
-                    self.rejected_envelopes += 1
-                    self.telemetry.inc("rsp.envelopes.rejected", reason="token")
-                return False
-        if nonce_bucket is not None and nonce in nonce_bucket:
-            self.duplicates_suppressed += 1
-            self.telemetry.inc("rsp.envelopes.duplicate")
-            return False
-        token_id = (
-            envelope.token.token_id
-            if self.require_tokens and envelope.token is not None
-            else None
-        )
-        record = envelope.record
-        record_kind = None
-        try:
-            if isinstance(record, InteractionUpload):
-                if record.entity_id not in self.catalog:
-                    self.rejected_envelopes += 1
-                    self.telemetry.inc("rsp.envelopes.rejected", reason="unknown-entity")
-                    return False
-                shard = self.shards[
-                    self.router.shard_of(record.history_id)
-                    if shard_hint is None
-                    else shard_hint
-                ]
-                bound = shard.store.bound_entity(record.history_id)
-                if bound is not None and bound != record.entity_id:
-                    # Same split as the monolith: an identifier bound to
-                    # another entity is not a storage failure.
-                    self.history_mismatches += 1
-                    self.rejected_envelopes += 1
-                    self.telemetry.inc(
-                        "rsp.envelopes.rejected", reason="history-mismatch"
-                    )
-                    return False
-                stored = shard.store.append(
-                    record, arrival_time=delivery.arrival_time
-                )
-                if stored:
-                    shard.store_version += 1
-                    shard.version += 1
-                    shard.dirty_entities.add(record.entity_id)
-                record_kind = "interaction"
-            elif isinstance(record, OpinionUpload):
-                if record.entity_id not in self.catalog:
-                    self.rejected_envelopes += 1
-                    self.telemetry.inc("rsp.envelopes.rejected", reason="unknown-entity")
-                    return False
-                shard = self.shards[
-                    self.router.shard_of(record.history_id)
-                    if shard_hint is None
-                    else shard_hint
-                ]
-                existing = shard.opinions.get(record.history_id)
-                if existing is None or record.seq > existing.seq:
-                    shard.opinions[record.history_id] = record
-                    shard.version += 1
-                    self._engine.note_opinion(
-                        existing,
-                        record,
-                        owner=shard.store.bound_entity(record.history_id),
-                    )
-                else:
-                    # Stale re-upload (delayed/reordered): accept the
-                    # envelope, skip the slot write — mirrors RSPServer.
-                    self.opinions_stale += 1
-                    self.telemetry.inc("rsp.opinions.stale")
-                stored = True
-                record_kind = "opinion"
-            else:
-                self.rejected_envelopes += 1
-                self.telemetry.inc("rsp.envelopes.rejected", reason="malformed")
-                return False
-        except Exception:
-            # Transactional accept: nothing durably written, so neither
-            # the counter nor the nonce may burn (mirrors RSPServer).
-            self.rejected_envelopes += 1
-            self.telemetry.inc("rsp.envelopes.rejected", reason="store-error")
-            return False
-        if stored:
-            # WAL-before-ack, mirroring the monolith: journal (and flush)
-            # before the accept counter and the nonce burn commit.
-            if self.journal is not None:
-                if record_kind == "interaction":
-                    self.journal.log_interaction(
-                        record, delivery.arrival_time, nonce, token_id
-                    )
-                else:
-                    self.journal.log_opinion(record, nonce, token_id)
-            self.accepted_envelopes += 1
-            if nonce_bucket is not None:
-                nonce_bucket.add(nonce)
-            self.telemetry.inc("rsp.envelopes.accepted", record=record_kind)
-            if record_kind == "interaction":
-                self.telemetry.observe(
-                    "rsp.ingest_lag",
-                    delivery.arrival_time - record.event_time,
-                    buckets=INGEST_LAG_BUCKETS,
-                )
-        else:
-            self.rejected_envelopes += 1
-            self.telemetry.inc("rsp.envelopes.rejected", reason="unstored")
-        return stored
 
     # -------------------------------------------------------- maintenance
 
@@ -770,44 +482,9 @@ class ShardedRSPServer:
 
     # -------------------------------------------------------------- query
 
-    def summary(self, entity_id: str) -> EntityOpinionSummary | None:
-        return self._summaries.get(entity_id)
-
-    def all_summaries(self) -> dict[str, EntityOpinionSummary]:
-        """Every entity summary from the latest maintenance cycle.
-
-        Canonical (entity-id) order, like the monolith's: the engine's
-        cache is insertion-ordered by recompute history — and after an
-        :meth:`~repro.service.incremental.MaintenanceEngine.adopt_full`
-        it reflects the kernel's partition order, which differs from the
-        monolith for the same content.  Sorting keeps the two facades'
-        read surfaces indistinguishable even to order-sensitive readers.
-        """
-        return {
-            entity_id: self._summaries[entity_id]
-            for entity_id in sorted(self._summaries)
-        }
-
     def reviews_for(self, entity_id: str) -> list[ExplicitReview]:
         shard = self.shards[self.router.shard_of(entity_id)]
         return list(shard.reviews.get(entity_id, []))
-
-    def search(self, query: Query, compare_top: int = 3) -> SearchResponse:
-        """Answer a query with ranked results plus comparative visualizations
-        of the top candidates — same semantics as the monolithic server."""
-        response = self._discovery.search(query, self._summaries)
-        visualization: ComparativeVisualization | None = None
-        top = [r.entity.entity_id for r in response.results[:compare_top]]
-        if top:
-            visualization = compare_entities(
-                {
-                    entity_id: self._accepted_histories.get(entity_id, [])
-                    for entity_id in top
-                }
-            )
-        return SearchResponse(
-            query=response.query, results=response.results, visualization=visualization
-        )
 
     # ----------------------------------------------------------- counters
 

@@ -18,35 +18,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.aggregation import OpinionUpload
 from repro.fraud.profiles import ProfilePools
 from repro.privacy.history_store import HistoryStore
 from repro.scale.kernel import ShardFrame, build_frame, collect_pools
+from repro.service.intake import StoreLane
 from repro.util.rng import derive_seed, make_rng
 
 
-class ShardState:
-    """One partition of the sharded server's stores."""
+class ShardState(StoreLane):
+    """One partition of the sharded server's stores.
+
+    The intake lane (store, opinion slots, dirty set drained into the
+    incremental engine at maintenance, versions) plus what only the
+    sharded deployment keeps per partition: reviews, a seed, and the
+    version-keyed maintenance caches.
+    """
 
     def __init__(self, index: int, key_seed: int) -> None:
+        super().__init__(HistoryStore(), {}, set())
         self.index = index
         #: Label-derived, so adding shard 9 never perturbs shards 0-8.
         self.seed = derive_seed(key_seed, f"scale/shard[{index}]")
-        self.store = HistoryStore()
-        #: Latest inferred opinion per anonymous history (highest ``seq``
-        #: wins; ties keep the existing record — see docs/RELIABILITY.md).
-        self.opinions: dict[str, OpinionUpload] = {}
         #: Explicit reviews for entities routed to this shard.
         self.reviews: dict[str, list] = {}
-        #: Entities whose state on this shard changed since the last
-        #: maintenance cycle; drained into the incremental engine.
-        self.dirty_entities: set[str] = set()
-        #: Bumped on every accepted interaction record; keys the frame
-        #: and profile-pool caches (opinions don't affect either).
-        self.store_version = 0
-        #: Bumped on interactions *and* opinion-slot changes; keys the
-        #: cross-shard gather cache, which folds opinions in.
-        self.version = 0
         self._frame: ShardFrame | None = None
         self._frame_version = -1
         self._pools: ProfilePools | None = None

@@ -6,9 +6,11 @@ anonymous inferred opinions, spent tokens), runs the maintenance cycle
 search queries with explicit reviews, inferred summaries, and comparative
 visualizations side by side.
 
-Token checking happens here, once per envelope, before dispatching the
-record to its store — forged, replayed, or missing tokens bounce the whole
-envelope.
+Token checking happens once per envelope, before dispatching the record
+to its store — forged, replayed, or missing tokens bounce the whole
+envelope.  Both deployments run that check in one batch loop,
+:func:`repro.service.intake.intake`; :class:`ServiceFacade` is the rest
+of the surface they share.
 """
 
 from __future__ import annotations
@@ -22,16 +24,13 @@ from repro.core.visualization import ComparativeVisualization, compare_entities
 from repro.fraud.attestation import AttestationQuote, AttestationVerifier
 from repro.fraud.detector import DetectorConfig, HistoryVerdict
 from repro.privacy.anonymity import Delivery
-from repro.privacy.history_store import HistoryStore, InteractionHistory, InteractionUpload
+from repro.privacy.history_store import HistoryStore, InteractionHistory
 from repro.privacy.tokens import TokenIssuer, TokenRedeemer
 from repro.core.protocol import Envelope
 from repro.service.incremental import CycleStats, MaintenanceEngine, MonolithStoreView
+from repro.service.intake import StoreLane, intake
 from repro.telemetry import DEPLOYMENT, NULL, Telemetry
-from repro.telemetry.catalog import (
-    DIRTY_SET_BUCKETS,
-    INGEST_LAG_BUCKETS,
-    INTAKE_BATCH_BUCKETS,
-)
+from repro.telemetry.catalog import DIRTY_SET_BUCKETS
 from repro.world.entities import Entity
 
 if TYPE_CHECKING:
@@ -106,19 +105,32 @@ def emit_maintenance_telemetry(
         telemetry.span("maintenance.incremental", now, now, scope=DEPLOYMENT, mode=mode)
 
 
-class RSPServer:
-    """The re-architected recommendation service."""
+class ServiceFacade:
+    """The surface both deployments share, defined once.
+
+    Holds what does not depend on how the stores are partitioned: the
+    catalog, token issuance, the intake counters, the harness hooks
+    (``fault_hook``, ``journal``, ``telemetry``), the serving layer, and
+    the summary/search read surface over the maintenance engine's caches.
+    A subclass builds its stores, calls :meth:`_adopt_engine`, and
+    describes its partitions to the intake loop in :meth:`_intake_lanes`.
+
+    ``receive_all``, ``run_maintenance`` and ``query`` stay on each
+    deployment's own class body: the benchmark's layer tracer
+    (``perfbench/tracer.py``) wraps them where it finds them, in the
+    class dict of :class:`RSPServer`.
+    """
 
     def __init__(
         self,
         catalog: list[Entity],
-        quota_per_day: int = 48,
-        key_seed: int = 0,
-        key_bits: int = 512,
-        require_tokens: bool = True,
-        detector_config: DetectorConfig | None = None,
-        attestation: AttestationVerifier | None = None,
-        incremental: bool = True,
+        quota_per_day: int,
+        key_seed: int,
+        key_bits: int,
+        require_tokens: bool,
+        detector_config: DetectorConfig | None,
+        attestation: AttestationVerifier | None,
+        incremental: bool,
     ) -> None:
         if not catalog:
             raise ValueError("catalog must be non-empty")
@@ -130,45 +142,28 @@ class RSPServer:
         self.require_tokens = require_tokens
         self.attestation = attestation
         self.rejected_attestations = 0
-        self._redeemer = TokenRedeemer(self.issuer.public_key)
-        self.history_store = HistoryStore()
-        # Latest inferred opinion per anonymous history (latest-wins: the
-        # client re-uploads when its inference for an entity changes).
-        self._opinions: dict[str, OpinionUpload] = {}
-        self._reviews: dict[str, list[ExplicitReview]] = {}
         self._discovery = DiscoveryService(catalog)
         self._detector_config = detector_config
         #: ``False`` forces every maintenance cycle to recompute from
         #: scratch — the contractual baseline the incremental path must
         #: match byte for byte (``tests/scale/test_incremental.py``).
         self.incremental = incremental
-        self._engine = MaintenanceEngine(
-            MonolithStoreView(self.history_store, self._opinions, self._reviews),
-            self.entity_kinds,
-            detector_config,
-        )
-        # Aliases into the engine's caches: the engine mutates these in
-        # place only, so search/summary always see the latest cycle.
-        self._summaries: dict[str, EntityOpinionSummary] = self._engine.summaries
-        self._accepted_histories: dict[str, list[InteractionHistory]] = (
-            self._engine.accepted
-        )
+        self.accepted_envelopes = 0
         self.rejected_envelopes = 0
+        #: Network-level copies of accepted envelopes, suppressed by the
+        #: nonce table — the idempotent dedup that makes retransmission
+        #: over the ack-free channel safe.  Keyed on the envelope's random
+        #: nonce, never on a payload or identity digest (see
+        #: docs/RELIABILITY.md for why).
+        self.duplicates_suppressed = 0
         #: Stale opinion re-uploads dropped by ``seq`` ordering (the
         #: envelope still counts as accepted; only the slot write is
         #: skipped — see docs/RELIABILITY.md).
         self.opinions_stale = 0
         #: Interaction uploads bounced because their history identifier
         #: is bound to a different entity (client bug or corruption
-        #: attempt; split from generic ``unstored`` storage failures).
+        #: attempt).
         self.history_mismatches = 0
-        #: Nonces of accepted envelopes — the idempotent-dedup table that
-        #: makes client retransmission over the ack-free channel safe.
-        #: Keyed on the envelope's random nonce, never on a payload or
-        #: identity digest (see docs/RELIABILITY.md for why).
-        self._seen_nonces: set[bytes] = set()
-        self.duplicates_suppressed = 0
-        self.accepted_envelopes = 0
         #: Envelopes that arrived while the endpoint was down (harness
         #: hook); the fire-and-forget sender never learns about these.
         self.dropped_by_outage = 0
@@ -185,6 +180,15 @@ class RSPServer:
         self.telemetry: Telemetry = NULL
         #: Lazily constructed read path (see :attr:`serving`).
         self._serving = None
+
+    def _adopt_engine(self, engine: MaintenanceEngine) -> None:
+        self._engine = engine
+        # Aliases into the engine's caches: the engine mutates these in
+        # place only, so search/summary always see the latest cycle.
+        self._summaries: dict[str, EntityOpinionSummary] = engine.summaries
+        self._accepted_histories: dict[str, list[InteractionHistory]] = (
+            engine.accepted
+        )
 
     def attach_telemetry(self, telemetry: Telemetry) -> None:
         """Install a shared telemetry sink on the server and its issuer."""
@@ -218,10 +222,6 @@ class RSPServer:
             self.attach_serving()
         return self._serving
 
-    def query(self, query: "ServeQuery") -> "ServeResponse":
-        """Answer a read-path query through the cached serving layer."""
-        return self.serving.query(query)
-
     # ------------------------------------------------------------- intake
 
     def issue_tokens(
@@ -239,6 +239,8 @@ class RSPServer:
         4.3's remote-attestation defense), a valid fresh quote from a
         genuine client build is required — modified clients are cut off
         from uploading *anything* because they can never obtain tokens.
+        Issuance is a single-endpoint concern (quota windows are per
+        device), so it is never partitioned; only redemption state is.
         """
         if self.attestation is not None:
             if quote is None or not self.attestation.verify(quote):
@@ -247,6 +249,117 @@ class RSPServer:
                     f"device {device_id} failed attestation; no tokens issued"
                 )
         return self.issuer.issue(device_id, blinded_values, now=now)
+
+    def _intake_lanes(self):
+        """``(router, lanes, nonce_tables)`` for :func:`intake`: the
+        deployment's :class:`StoreLane` list, one nonce table per lane,
+        and the router mapping record ids and nonces to lanes (``None``
+        for a single lane)."""
+        raise NotImplementedError
+
+    def receive(self, delivery: Delivery[Envelope], now: float | None = None) -> bool:
+        """Process one anonymous envelope off the network.
+
+        A batch of one through :func:`repro.service.intake.intake` (see
+        there for the check order and what each outcome means): it records
+        no intake-batch sample and does no group commit.
+        """
+        return intake(self, [delivery], now, batch=False) == 1
+
+    # -------------------------------------------------------------- query
+
+    def summary(self, entity_id: str) -> EntityOpinionSummary | None:
+        return self._summaries.get(entity_id)
+
+    def all_summaries(self) -> dict[str, EntityOpinionSummary]:
+        """Every entity summary from the latest maintenance cycle.
+
+        Canonical (entity-id) order: the engine's cache is insertion-
+        ordered by recompute history, which differs between incremental
+        and full cycles and between deployments — sorting keeps every
+        reader order-independent.
+        """
+        return {
+            entity_id: self._summaries[entity_id]
+            for entity_id in sorted(self._summaries)
+        }
+
+    def search(self, query: Query, compare_top: int = 3) -> SearchResponse:
+        """Answer a query with ranked results plus comparative visualizations
+        of the top candidates (Figure 3 as a product feature)."""
+        response = self._discovery.search(query, self._summaries)
+        visualization: ComparativeVisualization | None = None
+        top = [r.entity.entity_id for r in response.results[:compare_top]]
+        if top:
+            visualization = compare_entities(
+                {
+                    entity_id: self._accepted_histories.get(entity_id, [])
+                    for entity_id in top
+                }
+            )
+        return SearchResponse(
+            query=response.query, results=response.results, visualization=visualization
+        )
+
+
+class RSPServer(ServiceFacade):
+    """The re-architected recommendation service."""
+
+    def __init__(
+        self,
+        catalog: list[Entity],
+        quota_per_day: int = 48,
+        key_seed: int = 0,
+        key_bits: int = 512,
+        require_tokens: bool = True,
+        detector_config: DetectorConfig | None = None,
+        attestation: AttestationVerifier | None = None,
+        incremental: bool = True,
+    ) -> None:
+        super().__init__(
+            catalog,
+            quota_per_day,
+            key_seed,
+            key_bits,
+            require_tokens,
+            detector_config,
+            attestation,
+            incremental,
+        )
+        self._redeemer = TokenRedeemer(self.issuer.public_key)
+        self.history_store = HistoryStore()
+        # Latest inferred opinion per anonymous history (latest-wins: the
+        # client re-uploads when its inference for an entity changes).
+        self._opinions: dict[str, OpinionUpload] = {}
+        self._reviews: dict[str, list[ExplicitReview]] = {}
+        self._adopt_engine(
+            MaintenanceEngine(
+                MonolithStoreView(self.history_store, self._opinions, self._reviews),
+                self.entity_kinds,
+                detector_config,
+            )
+        )
+        #: Nonces of accepted envelopes — the idempotent-dedup table.
+        self._seen_nonces: set[bytes] = set()
+        # The one lane: intake marks dirty entities straight into the
+        # engine's set, which ``plan`` drains in place.
+        self._lanes = [
+            StoreLane(self.history_store, self._opinions, self._engine._dirty)
+        ]
+        self._nonce_tables = [self._seen_nonces]
+
+    def _intake_lanes(self):
+        return None, self._lanes, self._nonce_tables
+
+    def receive_all(
+        self, deliveries: list[Delivery[Envelope]], now: float | None = None
+    ) -> int:
+        """Process one batch of envelopes; returns how many were accepted."""
+        return intake(self, deliveries, now)
+
+    def query(self, query: "ServeQuery") -> "ServeResponse":
+        """Answer a read-path query through the cached serving layer."""
+        return self.serving.query(query)
 
     def post_review(
         self,
@@ -270,166 +383,6 @@ class RSPServer:
         self._reviews.setdefault(entity_id, []).append(review)
         self._engine.mark_dirty(entity_id)
         self.telemetry.inc("rsp.reviews.posted")
-
-    def receive(self, delivery: Delivery[Envelope], now: float | None = None) -> bool:
-        """Process one anonymous envelope off the network.
-
-        Intake order is deliberate: outage check first (a down endpoint
-        processes nothing, so neither the token nor the nonce of a lost
-        envelope is consumed and a retransmitted copy can still land);
-        then the token trust boundary (only token-valid envelopes may
-        *write* dedup state, so an unauthenticated sender can never squat
-        a nonce and suppress someone's legitimate record); then idempotent
-        nonce dedup; then record validation.  A nonce is marked seen only
-        when its record is accepted, so a rejected upload can be repaired
-        and retransmitted under the same nonce.  One classification
-        nuance: a token failure whose nonce is already accepted is counted
-        as a suppressed duplicate rather than a rejection — an identical
-        network-replayed copy carries its original's spent token.
-
-        Acceptance is transactional with store dispatch: the accept
-        counter and the nonce table are touched only after the record is
-        durably in its store, so a poisoned record that raises mid-append
-        neither inflates the counters nor burns its nonce — the sender may
-        repair and retransmit under the same nonce.
-
-        ``now`` overrides the time the outage check sees: a catch-up
-        batch job processing a backlog held through an outage passes its
-        own (post-outage) processing time, because the endpoint being
-        down when an envelope *queued* must not drop it once it is
-        processed later (see :func:`repro.orchestration.epochs.run_epochs`).
-        """
-        envelope = delivery.payload
-        if self.fault_hook is not None and self.fault_hook.server_down(
-            delivery.arrival_time if now is None else now
-        ):
-            self.dropped_by_outage += 1
-            self.telemetry.inc("rsp.envelopes.outage_dropped")
-            return False
-        nonce = getattr(envelope, "nonce", None)
-        if self.require_tokens:
-            if envelope.token is None or not self._redeemer.redeem(envelope.token):
-                # A token failure on an already-accepted nonce is, with
-                # overwhelming probability, a network-level duplicate of
-                # the accepted envelope (its token was spent when the
-                # first copy landed) — classify it as a suppressed
-                # duplicate, not a fraud bounce.
-                if nonce is not None and nonce in self._seen_nonces:
-                    self.duplicates_suppressed += 1
-                    self.telemetry.inc("rsp.envelopes.duplicate")
-                else:
-                    self.rejected_envelopes += 1
-                    self.telemetry.inc("rsp.envelopes.rejected", reason="token")
-                return False
-        if nonce is not None and nonce in self._seen_nonces:
-            self.duplicates_suppressed += 1
-            self.telemetry.inc("rsp.envelopes.duplicate")
-            return False
-        token_id = (
-            envelope.token.token_id
-            if self.require_tokens and envelope.token is not None
-            else None
-        )
-        record = envelope.record
-        record_kind = None
-        try:
-            if isinstance(record, InteractionUpload):
-                if record.entity_id not in self.catalog:
-                    self.rejected_envelopes += 1
-                    self.telemetry.inc("rsp.envelopes.rejected", reason="unknown-entity")
-                    return False
-                bound = self.history_store.bound_entity(record.history_id)
-                if bound is not None and bound != record.entity_id:
-                    # The identifier is bound to another entity: a client
-                    # bug or a corruption attempt, not a storage failure —
-                    # keep it out of the generic "unstored" bucket so
-                    # fraud-facing dashboards see it.
-                    self.history_mismatches += 1
-                    self.rejected_envelopes += 1
-                    self.telemetry.inc(
-                        "rsp.envelopes.rejected", reason="history-mismatch"
-                    )
-                    return False
-                stored = self.history_store.append(
-                    record, arrival_time=delivery.arrival_time
-                )
-                if stored:
-                    self._engine.mark_dirty(record.entity_id)
-                record_kind = "interaction"
-            elif isinstance(record, OpinionUpload):
-                if record.entity_id not in self.catalog:
-                    self.rejected_envelopes += 1
-                    self.telemetry.inc("rsp.envelopes.rejected", reason="unknown-entity")
-                    return False
-                existing = self._opinions.get(record.history_id)
-                if existing is None or record.seq > existing.seq:
-                    self._opinions[record.history_id] = record
-                    self._engine.note_opinion(
-                        existing,
-                        record,
-                        owner=self.history_store.bound_entity(record.history_id),
-                    )
-                else:
-                    # A delayed/reordered re-upload older than (or tying)
-                    # the slot: drop the write, but accept the envelope —
-                    # the sender behaved correctly and must not retransmit.
-                    self.opinions_stale += 1
-                    self.telemetry.inc("rsp.opinions.stale")
-                stored = True
-                record_kind = "opinion"
-            else:
-                self.rejected_envelopes += 1
-                self.telemetry.inc("rsp.envelopes.rejected", reason="malformed")
-                return False
-        except Exception:
-            # Store dispatch blew up: nothing was durably written, so
-            # nothing may be marked accepted.
-            self.rejected_envelopes += 1
-            self.telemetry.inc("rsp.envelopes.rejected", reason="store-error")
-            return False
-        if stored:
-            # WAL-before-ack: the mutation is journaled (and flushed)
-            # before the accept counter and nonce burn commit, so a
-            # crash on either side of this line is recoverable — see
-            # docs/DURABILITY.md.
-            if self.journal is not None:
-                if record_kind == "interaction":
-                    self.journal.log_interaction(
-                        record, delivery.arrival_time, nonce, token_id
-                    )
-                else:
-                    self.journal.log_opinion(record, nonce, token_id)
-            self._mark_accepted(nonce)
-            self.telemetry.inc("rsp.envelopes.accepted", record=record_kind)
-            if record_kind == "interaction":
-                self.telemetry.observe(
-                    "rsp.ingest_lag",
-                    delivery.arrival_time - record.event_time,
-                    buckets=INGEST_LAG_BUCKETS,
-                )
-        else:
-            self.rejected_envelopes += 1
-            self.telemetry.inc("rsp.envelopes.rejected", reason="unstored")
-        return stored
-
-    def _mark_accepted(self, nonce: bytes | None) -> None:
-        self.accepted_envelopes += 1
-        if nonce is not None:
-            self._seen_nonces.add(nonce)
-
-    def receive_all(
-        self, deliveries: list[Delivery[Envelope]], now: float | None = None
-    ) -> int:
-        self.telemetry.observe(
-            "rsp.intake.batch", len(deliveries), buckets=INTAKE_BATCH_BUCKETS
-        )
-        accepted = sum(1 for delivery in deliveries if self.receive(delivery, now=now))
-        if self.journal is not None:
-            # Group commit: each accepted envelope's WAL frame was already
-            # flushed before its ack; the batch boundary is where the
-            # journal fsyncs for power-loss durability.
-            self.journal.sync_to_disk()
-        return accepted
 
     # -------------------------------------------------------- maintenance
 
@@ -476,40 +429,8 @@ class RSPServer:
 
     # -------------------------------------------------------------- query
 
-    def summary(self, entity_id: str) -> EntityOpinionSummary | None:
-        return self._summaries.get(entity_id)
-
     def reviews_for(self, entity_id: str) -> list[ExplicitReview]:
         return list(self._reviews.get(entity_id, []))
-
-    def search(self, query: Query, compare_top: int = 3) -> SearchResponse:
-        """Answer a query with ranked results plus comparative visualizations
-        of the top candidates (Figure 3 as a product feature)."""
-        response = self._discovery.search(query, self._summaries)
-        visualization: ComparativeVisualization | None = None
-        top = [r.entity.entity_id for r in response.results[:compare_top]]
-        if top:
-            visualization = compare_entities(
-                {
-                    entity_id: self._accepted_histories.get(entity_id, [])
-                    for entity_id in top
-                }
-            )
-        return SearchResponse(
-            query=response.query, results=response.results, visualization=visualization
-        )
-
-    def all_summaries(self) -> dict[str, EntityOpinionSummary]:
-        """Every entity summary from the latest maintenance cycle.
-
-        Canonical (entity-id) order: the engine's cache is insertion-
-        ordered by recompute history, which differs between incremental
-        and full cycles — sorting keeps every reader order-independent.
-        """
-        return {
-            entity_id: self._summaries[entity_id]
-            for entity_id in sorted(self._summaries)
-        }
 
     @property
     def n_records(self) -> int:

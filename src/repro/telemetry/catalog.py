@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from repro.util.clock import DAY, HOUR
 
-#: ``rsp.intake.batch`` — envelopes handed to ``receive_all`` per call.
+#: ``rsp.intake.batch`` — envelopes per intake batch (one sample per
+#: ``receive_all``/``ingest_all`` call; per-record ``receive`` records none).
 INTAKE_BATCH_BUCKETS: tuple[float, ...] = (1, 2, 5, 10, 20, 50, 100, 200, 500)
 
 #: ``rsp.ingest_lag`` — accepted interaction's arrival minus its

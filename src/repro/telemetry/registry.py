@@ -149,8 +149,8 @@ class Histogram:
         Byte-identical to observing each value in turn: ``searchsorted``
         with ``side="left"`` lands each value in the same bucket as
         ``bisect_left``, and ``np.rint`` rounds half-to-even exactly like
-        the builtin ``round`` — so the batched intake path of
-        :mod:`repro.ingest` produces the same export as per-record intake.
+        the builtin ``round`` — so the intake loop's once-per-batch
+        emission exports the same as observing per envelope.
         """
         column = np.asarray(values, dtype=np.float64)
         if column.size == 0:
@@ -270,12 +270,11 @@ class MetricsRegistry:
         Export-identical to calling :meth:`observe` per value (histogram
         state is commutative integer arithmetic); the instrument lookup
         and label canonicalization are paid once per column instead of
-        once per value, which is what the batched intake front end
-        (:mod:`repro.ingest.columnar`) amortizes.
+        once per value, which is what the intake loop
+        (:mod:`repro.service.intake`) amortizes.
 
-        An empty column is a no-op that declares nothing: per-record
-        intake never touches an instrument it has no value for, so the
-        batched path must not conjure a zero-count histogram row either.
+        An empty column is a no-op that declares nothing: an instrument
+        with no value must not appear as a zero-count histogram row.
         """
         if len(values) == 0:
             return

@@ -1,40 +1,46 @@
-"""Batched intake vs per-record intake: the byte-identity obligation.
+"""The intake loop against the per-record reference: the identity obligation.
 
-The claim of :mod:`repro.ingest.columnar` is that ``ingest_all`` is a
-pure performance knob: for any delivery stream, against either server
-deployment, with or without fault chaos and durability, it produces
+Both deployments run every envelope through one batch loop,
+:func:`repro.service.intake.intake`.  This suite proves it equal to the
+service's original per-record intake, kept verbatim in ``oracle.py``:
+for any delivery stream, with or without fault chaos and durability, the
+loop produces
 
 * the same accept/reject/duplicate classification for every envelope,
 * the same epoch report digests, opinion summaries, and fraud verdicts,
-* the same telemetry export (the counter three-way consistency holds on
-  both paths because the *export* is equal, not just the totals),
+* the same telemetry export — in both scopes on the monolith, and in the
+  deployment-invariant AGGREGATE scope on shards,
 * the same WAL, byte for byte, under the same global sequence numbers.
 
-This suite is the proof.  The epoch-level matrix drives the full
-pipeline across shard/worker configurations, clean and under the chaos
-plan; the direct server-level tests pin each classification branch
-(duplicate, stale seq, token bounce on a seen nonce, malformed and
-poisoned records) where the epoch pipeline would reach them only by
-luck.
+The epoch-level matrix drives the full pipeline with the oracle as the
+baseline server and the loop across shard/worker configurations, clean
+and under the chaos plan; the direct server-level tests pin each
+classification branch (duplicate, stale seq, token bounce on a seen
+nonce, malformed and poisoned records) where the epoch pipeline would
+reach them only by luck.
 """
 
 import pytest
 
+from repro.core.aggregation import OpinionUpload
 from repro.core.protocol import Envelope
 from repro.durability.journal import DurableJournal, attach_journal
 from repro.faults import DropFault, DuplicateFault, FaultPlan, Window
-from repro.ingest import SyntheticTraffic, WorkloadConfig, ingest_all
+from repro.ingest import SyntheticTraffic, WorkloadConfig
+from repro.orchestration import epochs
 from repro.orchestration.epochs import run_epochs
 from repro.orchestration.pipeline import PipelineConfig, train_classifier
 from repro.privacy.anonymity import Delivery
 from repro.privacy.tokens import TokenWallet
 from repro.privacy.uploads import RetransmitPolicy
+from repro.scale.router import ShardRouter
 from repro.scale.server import ShardedRSPServer
 from repro.service.server import RSPServer
 from repro.telemetry import AGGREGATE, Telemetry
 from repro.util.clock import DAY, HOUR
 from repro.world.behavior import BehaviorConfig, BehaviorSimulator
 from repro.world.population import TownConfig, build_town
+from tests.ingest.oracle import OracleServer, in_lane_order
 
 HORIZON_DAYS = 28.0
 HORIZON = HORIZON_DAYS * DAY
@@ -84,21 +90,24 @@ def world():
     return town, result, classifier
 
 
-def run(world, ingest_batch, n_shards=1, workers=0, plan=None, retransmit=None):
+def run(world, n_shards=1, workers=0, plan=None, retransmit=None, oracle=False):
+    """One ``run_epochs`` pass; ``oracle`` swaps the monolith for the oracle."""
     town, result, classifier = world
     config = PipelineConfig(horizon_days=HORIZON_DAYS, seed=5, retransmit=retransmit)
-    return run_epochs(
-        town,
-        result,
-        config,
-        n_epochs=N_EPOCHS,
-        classifier=classifier,
-        max_users=MAX_USERS,
-        fault_plan=plan,
-        n_shards=n_shards,
-        workers=workers,
-        ingest_batch=ingest_batch,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        if oracle:
+            patch.setattr(epochs, "RSPServer", OracleServer)
+        return run_epochs(
+            town,
+            result,
+            config,
+            n_epochs=N_EPOCHS,
+            classifier=classifier,
+            max_users=MAX_USERS,
+            fault_plan=plan,
+            n_shards=n_shards,
+            workers=workers,
+        )
 
 
 def verdict_set(outcome):
@@ -115,8 +124,8 @@ def assert_equivalent(baseline, candidate):
     assert candidate.server.all_summaries() == baseline.server.all_summaries()
     assert verdict_set(candidate) == verdict_set(baseline)
     # The AGGREGATE telemetry scope is deployment-invariant by contract
-    # (tests/telemetry/test_golden_snapshot.py), so the batched cell must
-    # reproduce the per-record monolith's export exactly.
+    # (tests/telemetry/test_golden_snapshot.py), so every cell must
+    # reproduce the oracle monolith's export exactly.
     assert candidate.telemetry.digest(scope=AGGREGATE) == baseline.telemetry.digest(
         scope=AGGREGATE
     )
@@ -124,12 +133,12 @@ def assert_equivalent(baseline, candidate):
 
 @pytest.fixture(scope="module")
 def clean_baseline(world):
-    return run(world, ingest_batch=False)
+    return run(world, oracle=True)
 
 
 @pytest.fixture(scope="module")
 def chaos_baseline(world):
-    return run(world, ingest_batch=False, plan=CHAOS, retransmit=RETRY)
+    return run(world, plan=CHAOS, retransmit=RETRY, oracle=True)
 
 
 class TestCleanMatrix:
@@ -138,10 +147,11 @@ class TestCleanMatrix:
     def test_batched_intake_is_indistinguishable(
         self, world, clean_baseline, n_shards, workers
     ):
-        outcome = run(world, ingest_batch=True, n_shards=n_shards, workers=workers)
+        outcome = run(world, n_shards=n_shards, workers=workers)
         assert_equivalent(clean_baseline, outcome)
 
     def test_baseline_is_not_vacuous(self, clean_baseline):
+        assert isinstance(clean_baseline.server, OracleServer)
         assert clean_baseline.server.n_records > 0
         assert clean_baseline.server.accepted_envelopes > 0
 
@@ -153,7 +163,6 @@ class TestChaosMatrix:
     ):
         outcome = run(
             world,
-            ingest_batch=True,
             n_shards=n_shards,
             workers=workers,
             plan=CHAOS,
@@ -173,56 +182,76 @@ class TestChaosMatrix:
 # --------------------------------------------------- direct server parity
 
 
+def make_server(catalog, n_shards, require_tokens):
+    if n_shards:
+        return ShardedRSPServer(
+            catalog, n_shards=n_shards, workers=0, require_tokens=require_tokens
+        )
+    return RSPServer(catalog, require_tokens=require_tokens)
+
+
 def paired_servers(n_shards=0, require_tokens=False):
-    """Two identical servers (with real telemetry) plus twin traffic."""
-    t1, t2 = SyntheticTraffic(IMPURE), SyntheticTraffic(IMPURE)
-    servers = []
-    for catalog in (t1.catalog, t2.catalog):
+    """The oracle and the deployment under test, each with real telemetry,
+    plus the traffic both are fed."""
+    traffic = SyntheticTraffic(IMPURE)
+    oracle = OracleServer(traffic.catalog, require_tokens=require_tokens)
+    dut = make_server(traffic.catalog, n_shards, require_tokens)
+    pairs = []
+    for server in (oracle, dut):
         telemetry = Telemetry()
-        if n_shards:
-            server = ShardedRSPServer(
-                catalog, n_shards=n_shards, workers=0, require_tokens=require_tokens
-            )
-        else:
-            server = RSPServer(catalog, require_tokens=require_tokens)
         server.attach_telemetry(telemetry)
-        servers.append((server, telemetry))
-    return servers[0], servers[1], t1, t2
+        pairs.append((server, telemetry))
+    return pairs[0], pairs[1], traffic
 
 
-def assert_same_story(pair_a, pair_b):
-    (server_a, tele_a), (server_b, tele_b) = pair_a, pair_b
+def deliver(oracle, dut, deliveries, now=100.0):
+    """One batch into both (the oracle sees it in the DUT's lane order);
+    both must accept the same number of envelopes."""
+    ordered = (
+        in_lane_order(deliveries, dut.router.n_shards)
+        if isinstance(dut, ShardedRSPServer)
+        else deliveries
+    )
+    assert oracle.receive_all(ordered, now=now) == dut.receive_all(deliveries, now=now)
+
+
+def assert_same_story(oracle_pair, dut_pair):
+    (oracle, tele_o), (dut, tele_d) = oracle_pair, dut_pair
     for attr in COUNTERS:
-        assert getattr(server_a, attr) == getattr(server_b, attr), attr
-    # Full export, both scopes: per-record and batched intake are export-
-    # identical, not merely total-identical.
-    assert tele_a.metrics.export_json() == tele_b.metrics.export_json()
+        assert getattr(oracle, attr) == getattr(dut, attr), attr
+    if isinstance(dut, ShardedRSPServer):
+        # Per-shard detail (rsp.shard.batch) lives under DEPLOYMENT scope.
+        assert tele_o.metrics.export_json(AGGREGATE) == tele_d.metrics.export_json(
+            AGGREGATE
+        )
+    else:
+        # Full export, both scopes: the loop emits once per batch what the
+        # oracle emits per envelope, and the exports are identical.
+        assert tele_o.metrics.export_json() == tele_d.metrics.export_json()
 
 
 @pytest.mark.parametrize("n_shards", [0, 4])
 def test_impure_stream_parity(n_shards):
-    pair_a, pair_b, t1, t2 = paired_servers(n_shards=n_shards)
+    pair_o, pair_d, traffic = paired_servers(n_shards=n_shards)
     for tick in range(5):
         now = 100.0 * tick
-        pair_a[0].receive_all(t1.batch(400, now), now=now)
-        ingest_all(pair_b[0], t2.batch(400, now), now=now)
-    assert_same_story(pair_a, pair_b)
+        deliver(pair_o[0], pair_d[0], traffic.batch(400, now), now=now)
+    assert_same_story(pair_o, pair_d)
     # The impurities actually exercised the interesting branches.
-    assert pair_a[0].duplicates_suppressed > 0
-    assert pair_a[0].rejected_envelopes > 0
-    assert pair_a[0].opinions_stale > 0
+    assert pair_o[0].duplicates_suppressed > 0
+    assert pair_o[0].rejected_envelopes > 0
+    assert pair_o[0].opinions_stale > 0
 
 
 @pytest.mark.parametrize("n_shards", [0, 4])
 def test_maintenance_after_batched_intake_matches(n_shards):
-    pair_a, pair_b, t1, t2 = paired_servers(n_shards=n_shards)
-    pair_a[0].receive_all(t1.batch(1200, 100.0), now=100.0)
-    ingest_all(pair_b[0], t2.batch(1200, 100.0), now=100.0)
-    report_a = pair_a[0].run_maintenance(now=200.0)
-    report_b = pair_b[0].run_maintenance(now=200.0)
-    assert pair_a[0].all_summaries() == pair_b[0].all_summaries()
-    assert report_a.n_opinions_kept == report_b.n_opinions_kept
-    assert_same_story(pair_a, pair_b)
+    pair_o, pair_d, traffic = paired_servers(n_shards=n_shards)
+    deliver(pair_o[0], pair_d[0], traffic.batch(1200, 100.0))
+    report_o = pair_o[0].run_maintenance(now=200.0)
+    report_d = pair_d[0].run_maintenance(now=200.0)
+    assert pair_o[0].all_summaries() == pair_d[0].all_summaries()
+    assert repr(report_o) == repr(report_d)
+    assert_same_story(pair_o, pair_d)
 
 
 def entity_record(catalog):
@@ -233,12 +262,12 @@ def entity_record(catalog):
     )
 
 
-class TestTokenNuances:
-    """The token-failure-on-seen-nonce branch, on both intake paths."""
+def delivery_of(envelope, arrival=100.0):
+    return Delivery(payload=envelope, arrival_time=arrival, channel_tag="t")
 
-    def make_pair(self):
-        pair_a, pair_b, t1, _ = paired_servers(require_tokens=True)
-        return pair_a, pair_b, t1.catalog
+
+class TestTokenNuances:
+    """The token-failure-on-seen-nonce branch, on both deployments."""
 
     def tokens_for(self, server, count):
         wallet = TokenWallet(device_id="parity-device")
@@ -247,40 +276,31 @@ class TestTokenNuances:
         wallet.accept_signatures(server.issuer.public_key, signatures)
         return [wallet.spend() for _ in range(count)]
 
-    def deliver(self, server, telemetry, batched, deliveries):
-        if batched:
-            return ingest_all(server, deliveries, now=100.0)
-        return server.receive_all(deliveries, now=100.0)
-
     def test_spent_token_on_seen_nonce_is_a_duplicate(self):
-        pair_a, pair_b, catalog = self.make_pair()
-        record = entity_record(catalog)
-        results = []
-        for (server, telemetry), batched in ((pair_a, False), (pair_b, True)):
-            (token,) = self.tokens_for(server, 1)
-            envelope = Envelope(record=record, token=token, nonce=b"n-1" * 6)
-            first = Delivery(payload=envelope, arrival_time=100.0, channel_tag="t")
-            redelivery = Delivery(payload=envelope, arrival_time=101.0, channel_tag="t")
-            self.deliver(server, telemetry, batched, [first])
-            self.deliver(server, telemetry, batched, [redelivery])
-            results.append((server, telemetry))
-        for server, _ in results:
-            assert server.accepted_envelopes == 1
-            assert server.duplicates_suppressed == 1
-            assert server.rejected_envelopes == 0
-        assert_same_story(*results)
+        for n_shards in (0, 4):
+            pair_o, pair_d, traffic = paired_servers(n_shards, require_tokens=True)
+            record = entity_record(traffic.catalog)
+            for server, _ in (pair_o, pair_d):
+                (token,) = self.tokens_for(server, 1)
+                envelope = Envelope(record=record, token=token, nonce=b"n-1" * 6)
+                server.receive_all([delivery_of(envelope)], now=100.0)
+                server.receive_all([delivery_of(envelope, 101.0)], now=100.0)
+                assert server.accepted_envelopes == 1
+                assert server.duplicates_suppressed == 1
+                assert server.rejected_envelopes == 0
+            assert_same_story(pair_o, pair_d)
 
     def test_missing_token_on_fresh_nonce_is_a_token_bounce(self):
-        pair_a, pair_b, catalog = self.make_pair()
-        record = entity_record(catalog)
-        envelope = Envelope(record=record, token=None, nonce=b"n-2" * 6)
-        delivery = Delivery(payload=envelope, arrival_time=100.0, channel_tag="t")
-        pair_a[0].receive_all([delivery], now=100.0)
-        ingest_all(pair_b[0], [delivery], now=100.0)
-        for server, _ in (pair_a, pair_b):
-            assert server.rejected_envelopes == 1
-            assert server.accepted_envelopes == 0
-        assert_same_story(pair_a, pair_b)
+        for n_shards in (0, 4):
+            pair_o, pair_d, traffic = paired_servers(n_shards, require_tokens=True)
+            envelope = Envelope(
+                record=entity_record(traffic.catalog), token=None, nonce=b"n-2" * 6
+            )
+            deliver(pair_o[0], pair_d[0], [delivery_of(envelope)])
+            for server, _ in (pair_o, pair_d):
+                assert server.rejected_envelopes == 1
+                assert server.accepted_envelopes == 0
+            assert_same_story(pair_o, pair_d)
 
 
 class _Exploding:
@@ -293,51 +313,57 @@ class _Exploding:
         raise RuntimeError("poisoned record")
 
 
+class _ExplodingOpinion(OpinionUpload):
+    """A well-typed opinion whose entity lookup raises mid-dispatch."""
+
+    @property
+    def entity_id(self):
+        raise RuntimeError("poisoned record")
+
+
 class TestPoisonedRecords:
     @pytest.mark.parametrize("n_shards", [0, 4])
     def test_malformed_record_parity(self, n_shards):
-        pair_a, pair_b, t1, t2 = paired_servers(n_shards=n_shards)
-        bad = Delivery(
-            payload=Envelope(record="not a record", token=None, nonce=b"n-3" * 6),
-            arrival_time=100.0,
-            channel_tag="t",
+        pair_o, pair_d, traffic = paired_servers(n_shards=n_shards)
+        bad = delivery_of(
+            Envelope(record="not a record", token=None, nonce=b"n-3" * 6)
         )
-        pair_a[0].receive_all([bad] + t1.batch(50, 100.0), now=100.0)
-        ingest_all(pair_b[0], [bad] + t2.batch(50, 100.0), now=100.0)
-        assert pair_a[0].rejected_envelopes >= 1
-        assert_same_story(pair_a, pair_b)
+        deliver(pair_o[0], pair_d[0], [bad] + traffic.batch(50, 100.0))
+        assert pair_o[0].rejected_envelopes >= 1
+        assert_same_story(pair_o, pair_d)
 
     def test_exploding_record_is_a_store_error_on_both_paths(self):
-        # Monolith-only: the sharded *baseline* groups by history_id before
-        # dispatch, so a record must at least route; an attribute that
-        # raises mid-dispatch is the monolith's store-error case.
-        pair_a, pair_b, t1, t2 = paired_servers()
-        poison = Delivery(
-            payload=Envelope(record=_Exploding(), token=None, nonce=b"n-4" * 6),
-            arrival_time=100.0,
-            channel_tag="t",
-        )
-        pair_a[0].receive_all([poison] + t1.batch(50, 100.0), now=100.0)
-        ingest_all(pair_b[0], [poison] + t2.batch(50, 100.0), now=100.0)
-        assert pair_a[0].rejected_envelopes >= 1
-        assert_same_story(pair_a, pair_b)
+        for n_shards in (0, 4):
+            pair_o, pair_d, traffic = paired_servers(n_shards=n_shards)
+            poisons = [
+                delivery_of(Envelope(record=_Exploding(), token=None, nonce=b"n-4" * 6)),
+                delivery_of(
+                    Envelope(
+                        record=object.__new__(_ExplodingOpinion),
+                        token=None,
+                        nonce=b"n-5" * 6,
+                    )
+                ),
+            ]
+            deliver(pair_o[0], pair_d[0], poisons + traffic.batch(50, 100.0))
+            tele = pair_d[1]
+            assert tele.value("rsp.envelopes.rejected", reason="store-error") == 1
+            assert tele.value("rsp.envelopes.rejected", reason="malformed") == 1
+            assert_same_story(pair_o, pair_d)
 
 
 class TestNonceFreeEnvelopes:
     def test_no_nonce_means_no_dedup_on_either_path(self):
-        pair_a, pair_b, t1, _ = paired_servers()
-        record = entity_record(t1.catalog)
-        bare = Envelope(record=record, token=None, nonce=None)
-        deliveries = [
-            Delivery(payload=bare, arrival_time=100.0, channel_tag="t")
-            for _ in range(3)
-        ]
-        pair_a[0].receive_all(deliveries, now=100.0)
-        ingest_all(pair_b[0], deliveries, now=100.0)
-        for server, _ in (pair_a, pair_b):
-            assert server.duplicates_suppressed == 0
-            assert server.accepted_envelopes == 3
-        assert_same_story(pair_a, pair_b)
+        for n_shards in (0, 4):
+            pair_o, pair_d, traffic = paired_servers(n_shards=n_shards)
+            bare = Envelope(
+                record=entity_record(traffic.catalog), token=None, nonce=None
+            )
+            deliver(pair_o[0], pair_d[0], [delivery_of(bare) for _ in range(3)])
+            for server, _ in (pair_o, pair_d):
+                assert server.duplicates_suppressed == 0
+                assert server.accepted_envelopes == 3
+            assert_same_story(pair_o, pair_d)
 
 
 # ------------------------------------------------------- WAL byte identity
@@ -346,37 +372,30 @@ class TestNonceFreeEnvelopes:
 @pytest.mark.parametrize("n_shards", [0, 4])
 def test_wal_bytes_identical(tmp_path, n_shards):
     """Same deliveries, same WAL — to the byte, with the same global seqs."""
-    roots = {}
-    for label, batched in (("per-record", False), ("batched", True)):
-        traffic = SyntheticTraffic(IMPURE)
+    lane_of = ShardRouter(n_shards).shard_of if n_shards else None
+    traffic = SyntheticTraffic(IMPURE)
+    oracle = OracleServer(traffic.catalog, require_tokens=False)
+    loop = make_server(traffic.catalog, n_shards, require_tokens=False)
+    roots = {"oracle": tmp_path / "oracle", "loop": tmp_path / "loop"}
+    for label, server in (("oracle", oracle), ("loop", loop)):
         telemetry = Telemetry()
-        if n_shards:
-            server = ShardedRSPServer(
-                traffic.catalog, n_shards=n_shards, workers=0, require_tokens=False
-            )
-            journal = DurableJournal(
-                tmp_path / label / "primary",
-                n_lanes=n_shards,
-                lane_of=server.router.shard_of,
-                telemetry=telemetry,
-            )
-        else:
-            server = RSPServer(traffic.catalog, require_tokens=False)
-            journal = DurableJournal(tmp_path / label / "primary", telemetry=telemetry)
         server.attach_telemetry(telemetry)
-        attach_journal(server, journal)
-        for tick in range(4):
-            now = 100.0 * tick
-            batch = traffic.batch(300, now)
-            if batched:
-                ingest_all(server, batch, now=now)
-            else:
-                server.receive_all(batch, now=now)
-        roots[label] = tmp_path / label / "primary"
-    names_a = sorted(p.name for p in roots["per-record"].glob("wal-*"))
-    names_b = sorted(p.name for p in roots["batched"].glob("wal-*"))
-    assert names_a == names_b and names_a
-    for name in names_a:
-        assert (roots["per-record"] / name).read_bytes() == (
-            roots["batched"] / name
+        attach_journal(
+            server,
+            DurableJournal(
+                roots[label],
+                n_lanes=max(1, n_shards),
+                lane_of=lane_of,
+                telemetry=telemetry,
+            ),
+        )
+    for tick in range(4):
+        now = 100.0 * tick
+        deliver(oracle, loop, traffic.batch(300, now), now=now)
+    names_o = sorted(p.name for p in roots["oracle"].glob("wal-*"))
+    names_l = sorted(p.name for p in roots["loop"].glob("wal-*"))
+    assert names_o == names_l and len(names_o) == max(1, n_shards)
+    for name in names_o:
+        assert (roots["oracle"] / name).read_bytes() == (
+            roots["loop"] / name
         ).read_bytes(), name

@@ -1,12 +1,11 @@
 """Batch routing regression: route once per envelope, never twice.
 
-``receive_batch`` used to derive each record's shard in the grouping pass
+Sharded intake used to derive each record's shard in the grouping pass
 and then re-derive it inside the store dispatch — two SHA-256 routes per
-envelope.  The fix threads the grouping-pass route into ``_receive_one``
-as a hint (and skips group allocation entirely for single-shard batches).
-These tests pin both the call count and, more importantly, that the fast
-path changes nothing observable: same stores, same counters, same
-telemetry export as per-envelope ``receive``.
+envelope.  The intake loop carries the grouping-pass route into the
+dispatch.  These tests pin both the call count and, more importantly,
+that grouping a batch per lane changes nothing observable: same stores,
+same counters as per-envelope ``receive`` (a batch of one).
 """
 
 import pytest
@@ -66,7 +65,7 @@ class TestRouteOnce:
         server, counting, traffic = make_server()
         batch = traffic.batch(300, now=100.0)
         counting.calls = 0
-        server.receive_batch(batch, now=100.0)
+        server.receive_all(batch, now=100.0)
         assert counting.calls == len(batch)
 
     def test_single_shard_batch_routes_once_per_delivery(self):
@@ -79,15 +78,15 @@ class TestRouteOnce:
         ]
         assert len(target) > 10
         counting.calls = 0
-        server.receive_batch(target, now=100.0)
+        server.receive_all(target, now=100.0)
         assert counting.calls == len(target)
 
     def test_duplicates_do_not_route_twice_either(self):
         server, counting, traffic = make_server()
         batch = traffic.batch(200, now=100.0)
-        server.receive_batch(batch, now=100.0)
+        server.receive_all(batch, now=100.0)
         counting.calls = 0
-        server.receive_batch(batch, now=200.0)  # all duplicates
+        server.receive_all(batch, now=200.0)  # all duplicates
         assert counting.calls == len(batch)
         assert server.duplicates_suppressed >= len(batch)
 
@@ -101,7 +100,7 @@ class TestFastPathEquivalence:
             now = 100.0 * tick
             batch_a = t1.batch(250, now)
             batch_b = t2.batch(250, now)
-            batched.receive_batch(batch_a, now=now)
+            batched.receive_all(batch_a, now=now)
             for delivery in batch_b:
                 loop.receive(delivery, now=now)
         for attr in COUNTERS:
@@ -109,7 +108,7 @@ class TestFastPathEquivalence:
         assert batched.all_summaries() == loop.all_summaries()
 
     def test_single_shard_burst_digest_pinned(self):
-        """The fast path (no group allocation) vs the grouped path."""
+        """A batch that routes to one shard vs the same envelopes one by one."""
         fast, counting, t1 = make_server(4)
         grouped, _, t2 = make_server(4)
         pool_a = t1.batch(600, now=100.0)
@@ -125,7 +124,7 @@ class TestFastPathEquivalence:
             if counting.shard_of(d.payload.record.history_id) == 1
         ]
         assert [d.payload.nonce for d in same] == [d.payload.nonce for d in twin]
-        fast.receive_batch(same, now=100.0)  # homogeneous: fast path
+        fast.receive_all(same, now=100.0)  # homogeneous: one lane
         for delivery in twin:  # per-envelope reference
             grouped.receive(delivery, now=100.0)
         for attr in COUNTERS:
@@ -145,7 +144,7 @@ class TestFastPathEquivalence:
             channel_tag="t",
         )
         before = server.rejected_envelopes
-        server.receive_batch([weird] + traffic.batch(40, 100.0), now=100.0)
+        server.receive_all([weird] + traffic.batch(40, 100.0), now=100.0)
         assert server.rejected_envelopes > before
         export = server.telemetry.metrics.export_json()
         assert "malformed" in export

@@ -160,7 +160,7 @@ class TestIntakeEquivalence:
             )
 
     def test_batch_and_single_intake_agree(self, town):
-        """``receive_batch`` regroups by shard; outcomes must not move."""
+        """``receive_all`` regroups by shard; outcomes must not move."""
         one, batch = (
             ShardedRSPServer(
                 catalog=town.entities,
@@ -182,7 +182,7 @@ class TestIntakeEquivalence:
             delivery(interaction(identity, entities[0], t=3000.0), nonce=bytes([3]))
         )
         accepted_single = sum(1 for d in deliveries if one.receive(d))
-        accepted_batch = batch.receive_batch(deliveries)
+        accepted_batch = batch.receive_all(deliveries)
         assert accepted_single == accepted_batch
         assert counters(one) == counters(batch)
 
@@ -193,8 +193,8 @@ class TestIntakeEquivalence:
         identity = DeviceIdentity.create("u", seed=2)
         entity_id = town.entities[0].entity_id
         record = interaction(identity, entity_id)
-        assert server.receive_batch([delivery(record, nonce=b"same-nonce")]) == 1
-        assert server.receive_batch([delivery(record, nonce=b"same-nonce")]) == 0
+        assert server.receive_all([delivery(record, nonce=b"same-nonce")]) == 1
+        assert server.receive_all([delivery(record, nonce=b"same-nonce")]) == 0
         assert server.duplicates_suppressed == 1
         assert server.n_unique_nonces == 1
 
