@@ -39,10 +39,12 @@ chaos:
 	$(PYTHON) -m repro.lint src/repro --select faults-only-in-harness
 	$(PYTHON) -m pytest tests/faults -q
 
-# Scale suite: differential + property tests proving the sharded server
-# equivalent to the monolith, then the line-coverage floor on repro.scale.
+# Scale suite: differential + property tests proving every shard count
+# equivalent to the per-entity reference monolith (tests/oracle.py), the
+# resharding suite that proves the split/merge code in repro.scale, then
+# the line-coverage floor on repro.scale.
 scale:
-	$(PYTHON) -m pytest tests/scale -q
+	$(PYTHON) -m pytest tests/scale tests/reshard -q
 	$(PYTHON) scripts/coverage_gate.py --fail-under 85
 
 # Sharded maintenance benchmark; emits BENCH_3.json at the repo root.

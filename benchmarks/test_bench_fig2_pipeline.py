@@ -28,8 +28,8 @@ def test_bench_fig2_pipeline(benchmark, simulated_world, pipeline_outcome):
             ["users simulated", len(town.users)],
             ["ground-truth events", len(result.events)],
             ["explicit reviews posted", out.server.n_explicit_reviews],
-            ["anonymous histories stored", out.server.history_store.n_histories],
-            ["interaction records stored", out.server.history_store.n_records],
+            ["anonymous histories stored", out.server.n_histories],
+            ["interaction records stored", out.server.n_records],
             ["inferred opinions received", out.server.n_opinions],
             ["histories rejected by fraud filter", report.n_rejected_histories],
             ["median opinions/entity (explicit only)", f"{out.median_opinions_before():.0f}"],
@@ -47,7 +47,7 @@ def test_bench_fig2_pipeline(benchmark, simulated_world, pipeline_outcome):
     # id embeds a user id.
     assert out.server.rejected_envelopes == 0
     user_ids = {user.user_id for user in town.users}
-    for history in out.server.history_store.all_histories():
+    for history in out.server.all_histories():
         assert not any(uid in history.history_id for uid in user_ids)
     # Inference quality stayed usable (inferred opinions are noisier
     # than explicit reviews, but well under the 2.5-star coin flip).

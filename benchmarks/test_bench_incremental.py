@@ -28,6 +28,7 @@ from repro.util.clock import DAY
 from repro.util.rng import make_rng
 
 from conftest import BENCH_SEED
+from tests.oracle import OracleServer
 
 from repro.world.population import TownConfig, build_town
 
@@ -102,7 +103,9 @@ def test_bench_incremental_maintenance_speedup(benchmark):
     incremental = RSPServer(
         catalog=town.entities, key_seed=BENCH_SEED, require_tokens=False
     )
-    full = RSPServer(
+    # The from-scratch baseline: the reference monolith's per-entity full
+    # recompute (tests/oracle.py).
+    full = OracleServer(
         catalog=town.entities,
         key_seed=BENCH_SEED,
         require_tokens=False,
@@ -152,7 +155,7 @@ def test_bench_incremental_maintenance_speedup(benchmark):
             "n_base_histories": N_BASE_HISTORIES,
             "n_delta_histories": N_DELTA_HISTORIES,
             "records_per_history": RECORDS_PER_HISTORY,
-            "n_records": incremental.history_store.n_records,
+            "n_records": incremental.n_records,
             "n_entities": len(all_ids),
             "n_dirty_entities": len(delta_ids),
             "dirty_fraction": round(dirty_fraction, 4),

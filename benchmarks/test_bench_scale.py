@@ -45,7 +45,7 @@ def test_bench_pipeline_scaling(benchmark):
             [
                 n_users,
                 n_events,
-                outcome.server.history_store.n_records,
+                outcome.server.n_records,
                 outcome.server.n_opinions,
                 f"{elapsed:.1f}s",
             ]
@@ -63,6 +63,6 @@ def test_bench_pipeline_scaling(benchmark):
     # ~3x the per-user-linear budget (i.e. < 12x total here).
     assert t_large < 3.0 * user_ratio * t_small
     # Output scales with population too.
-    small_records = results[sizes[0]][0].server.history_store.n_records
-    large_records = results[sizes[-1]][0].server.history_store.n_records
+    small_records = results[sizes[0]][0].server.n_records
+    large_records = results[sizes[-1]][0].server.n_records
     assert large_records > 2 * small_records

@@ -32,7 +32,7 @@ def test_bench_sybil_rating_shift(benchmark, simulated_world, pipeline_outcome):
     assert target is not None
 
     honest_histories = server._accepted_histories.get(target, [])
-    honest_opinions = [o for o in server._opinions.values() if o.entity_id == target]
+    honest_opinions = [o for o in server.all_opinions() if o.entity_id == target]
     baseline = summarize_entity(
         target, honest_histories, honest_opinions, explicit_ratings=[]
     )

@@ -36,7 +36,7 @@ def main() -> None:
     server = outcome.server
     print(f"   explicit reviews:   {server.n_explicit_reviews}")
     print(f"   inferred opinions:  {server.n_opinions}")
-    print(f"   anonymous histories: {server.history_store.n_histories}")
+    print(f"   anonymous histories: {server.n_histories}")
     print(f"   opinion gain:       {outcome.coverage_gain():.1f}x")
     print(f"   inference MAE:      {outcome.mean_absolute_error:.2f} stars")
 

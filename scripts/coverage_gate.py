@@ -30,7 +30,7 @@ SRC = ROOT / "src"
 
 #: Gated packages: name -> (source tree, default pytest targets).
 TARGETS = {
-    "scale": (SRC / "repro" / "scale", ["tests/scale"]),
+    "scale": (SRC / "repro" / "scale", ["tests/scale", "tests/reshard"]),
     "telemetry": (SRC / "repro" / "telemetry", ["tests/telemetry"]),
     "service": (
         SRC / "repro" / "service",

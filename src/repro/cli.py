@@ -79,7 +79,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     print(f"ground-truth interactions: {len(result.events)}")
     print(f"explicit reviews:          {server.n_explicit_reviews}")
     print(f"inferred opinions:         {server.n_opinions}")
-    print(f"anonymous histories:       {server.history_store.n_histories}")
+    print(f"anonymous histories:       {server.n_histories}")
     print(f"opinion gain:              {outcome.coverage_gain():.1f}x")
     print(f"inference MAE:             {outcome.mean_absolute_error:.2f} stars")
     print(f"abstention rate:           {outcome.abstention_rate:.2f}")
@@ -242,11 +242,10 @@ def _cmd_epochs(args: argparse.Namespace) -> int:
     if args.durable_dir is not None:
         mode = "primary/replica" if args.replicate else "WAL + snapshots"
         print(f"durability: {mode} under {args.durable_dir}")
-    if args.shards > 1 or args.workers > 0:
-        print(
-            f"deployment: {args.shards} shards, "
-            f"{args.workers} maintenance workers (0 = serial)"
-        )
+    print(
+        f"deployment: {args.shards} shard(s), "
+        f"{args.workers} maintenance worker(s) (0 = serial)"
+    )
     print(f"{'epoch':>5} {'new records':>12} {'total':>7} "
           f"{'histories':>10} {'opinions':>9} {'rejected':>9} "
           f"{'dropped':>8} {'bounced':>8} {'dup-sup':>8} {'resent':>7}")
@@ -443,40 +442,44 @@ def _cmd_redteam(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_recover(args: argparse.Namespace) -> int:
-    import hashlib
+def _recover(args: argparse.Namespace):
+    """Rebuild the server a ``repro epochs --durable-dir`` run journaled.
+
+    Returns ``(server, directory, report)``.  The server starts with
+    ``--shards`` shards; any split or merge the run journaled is replayed
+    on top, so a run that started on one shard recovers from
+    ``--shards 1`` whatever it grew into.
+    """
     from pathlib import Path
 
     from repro.durability.recovery import recover_server
     from repro.orchestration.pipeline import PipelineConfig
-    from repro.scale.server import ShardedRSPServer
-    from repro.service.server import RSPServer
-    from repro.util.clock import DAY
+    from repro.service.server import build_server
     from repro.world.population import TownConfig, build_town
 
     town = build_town(TownConfig(n_users=args.users), seed=args.seed)
     config = PipelineConfig(horizon_days=float(args.days), seed=args.seed)
-    if args.shards > 1:
-        server = ShardedRSPServer(
-            catalog=town.entities,
-            quota_per_day=config.quota_per_day,
-            key_seed=config.seed,
-            key_bits=config.key_bits,
-            n_shards=args.shards,
-        )
-    else:
-        server = RSPServer(
-            catalog=town.entities,
-            quota_per_day=config.quota_per_day,
-            key_seed=config.seed,
-            key_bits=config.key_bits,
-        )
+    server = build_server(
+        town.entities,
+        n_shards=args.shards,
+        quota_per_day=config.quota_per_day,
+        key_seed=config.seed,
+        key_bits=config.key_bits,
+    )
     # ``repro epochs --durable-dir D`` journals under D/primary (and a
     # promoted replica under D/promoted); accept either D or the lane
     # directory itself.
     base = Path(args.durable_dir)
     directory = base / "primary" if (base / "primary").is_dir() else base
-    report = recover_server(server, directory)
+    return server, directory, recover_server(server, directory)
+
+
+def _cmd_recover(args: argparse.Namespace) -> int:
+    import hashlib
+
+    from repro.util.clock import DAY
+
+    server, directory, report = _recover(args)
     print(f"recovered from: {directory}")
     print(f"snapshot seq:   {report.snapshot_seq}")
     print(f"replayed:       {report.n_replayed} WAL record(s)")
@@ -581,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     epochs.add_argument("--fault-seed", type=int, default=0, help="fault-plan seed")
     epochs.add_argument(
         "--shards", type=int, default=1,
-        help="store partitions (1 = monolithic server; >1 = repro.scale)",
+        help="store partitions (1 = the paper's single server)",
     )
     epochs.add_argument(
         "--workers", type=int, default=0,
@@ -616,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--reshard", action="append", default=None,
         metavar="EPOCH:split:SHARD|EPOCH:merge:A:B",
         help="apply a live topology change at the start of the given epoch "
-        "(repeatable; requires a sharded deployment)",
+        "(repeatable)",
     )
     epochs.add_argument(
         "--autoscale-split", type=int, default=None,
@@ -653,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument("--fault-seed", type=int, default=0, help="fault-plan seed")
     telemetry.add_argument(
         "--shards", type=int, default=1,
-        help="store partitions (1 = monolithic server; >1 = repro.scale)",
+        help="store partitions (1 = the paper's single server)",
     )
     telemetry.add_argument(
         "--workers", type=int, default=0,
@@ -690,7 +693,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     recover.add_argument(
         "--shards", type=int, default=1,
-        help="deployment shape of the crashed run (must match)",
+        help="shard count the crashed run started with (must match; "
+        "journaled splits and merges are replayed on top)",
     )
     recover.set_defaults(func=_cmd_recover)
 

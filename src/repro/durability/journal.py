@@ -6,8 +6,8 @@ duck-typed ``journal`` attribute (the same pattern as ``fault_hook`` and
 imports this package).  It owns a directory of:
 
 * ``wal-<lane>-<startseq>.log`` — WAL segments, one active per lane.
-  The monolith uses a single lane; the sharded server passes
-  ``lane_of=router.shard_of`` so each shard's mutations land in their
+  The server passes ``n_lanes=router.n_shards`` and
+  ``lane_of=server.shard_of``, so each shard's mutations land in their
   own per-shard WAL file (parallel-friendly I/O), while the **global**
   sequence number stays totally ordered across lanes — replay merges
   lanes by ``seq`` and reproduces exact intake order;
@@ -89,7 +89,7 @@ class DurableJournal:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.n_lanes = n_lanes
-        #: Routing-key -> lane mapper (the sharded router's ``shard_of``);
+        #: Routing-key -> lane mapper (the server's ``shard_of``);
         #: ``None`` puts everything in lane 0.
         self._lane_of = lane_of
         self.telemetry = telemetry

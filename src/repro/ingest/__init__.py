@@ -43,8 +43,8 @@ __all__ = [
 def ingest_all(server, deliveries, now: float | None = None) -> int:
     """Process one batch through ``server``'s intake loop.
 
-    Works against the monolith and the sharded deployment alike and
-    returns the number of accepted envelopes.  ``now`` overrides the time
+    Works against any shard count and returns the number of accepted
+    envelopes.  ``now`` overrides the time
     the outage check sees, as in ``receive_all``.
     """
     return server.receive_all(deliveries, now=now)

@@ -32,7 +32,7 @@ from repro.sensing.sensors import generate_trace
 from repro.orchestration.pipeline import PipelineConfig, train_classifier
 from repro.scale.server import ShardedRSPServer
 from repro.serve.loadgen import QueryWorkload, SyntheticQueries
-from repro.service.server import MaintenanceReport, RSPServer
+from repro.service.server import MaintenanceReport, build_server
 from repro.telemetry import Telemetry
 from repro.util.clock import DAY
 from repro.world.behavior import SimulationResult
@@ -72,10 +72,10 @@ class EpochReport:
 class EpochsOutcome:
     """The long-running deployment's final state and per-epoch history."""
 
-    #: The service endpoint: an :class:`RSPServer`, or a
-    #: :class:`~repro.scale.server.ShardedRSPServer` when the run was
-    #: sharded — both expose the same counters and query surface.
-    server: RSPServer | ShardedRSPServer
+    #: The service endpoint: a :class:`~repro.service.server.RSPServer`
+    #: on one shard, a :class:`~repro.scale.server.ShardedRSPServer` on
+    #: more (see :func:`~repro.service.server.build_server`).
+    server: ShardedRSPServer
     clients: dict[str, RSPClient]
     reports: list[EpochReport] = field(default_factory=list)
     injector: FaultInjector | None = None
@@ -135,11 +135,10 @@ def run_epochs(
 ) -> EpochsOutcome:
     """Operate the service over ``n_epochs`` equal slices of the horizon.
 
-    ``n_shards``/``workers`` select the service deployment: the default
-    ``(1, 0)`` runs the monolithic :class:`RSPServer`; anything else runs
-    a :class:`~repro.scale.server.ShardedRSPServer` with that many store
-    partitions and maintenance worker processes.  The sharded deployment
-    is contractually bit-identical in every report this driver emits
+    ``n_shards``/``workers`` set the service deployment: that many store
+    partitions and maintenance worker processes (the default ``(1, 0)``
+    is the paper's single server).  Every deployment is contractually
+    bit-identical in every report this driver emits
     (``tests/scale/test_differential.py``), so the flags are pure
     performance knobs.  ``incremental`` likewise only moves work:
     ``False`` forces every maintenance cycle to recompute from scratch,
@@ -187,18 +186,13 @@ def run_epochs(
     start (build one with :func:`repro.reshard.parse_schedule`);
     ``autoscale`` installs a telemetry-driven
     :class:`~repro.reshard.autoscale.Autoscaler` evaluated after every
-    completed maintenance cycle.  Both require a sharded deployment, and
-    both are — like every other deployment knob — contractually invisible
+    completed maintenance cycle.  Both are — like every other deployment
+    knob, and whatever the starting shard count — contractually invisible
     in the reports, summaries, serve digest, and AGGREGATE telemetry
     (``tests/reshard/test_differential.py``).
     """
     if n_epochs < 1:
         raise ValueError("need at least one epoch")
-    if (reshard_schedule or autoscale is not None) and n_shards == 1 and workers == 0:
-        raise ValueError(
-            "resharding requires the sharded deployment; pass n_shards > 1 "
-            "(or workers > 0)"
-        )
     if serve_queries < 0:
         raise ValueError("serve_queries must be >= 0")
     config = config or PipelineConfig()
@@ -227,26 +221,18 @@ def run_epochs(
             deliveries = intake_queue.drain()
         target.receive_all(deliveries, now=when)
 
-    def make_server() -> RSPServer | ShardedRSPServer:
-        if n_shards == 1 and workers == 0:
-            return RSPServer(
-                catalog=town.entities,
-                quota_per_day=config.quota_per_day,
-                key_seed=config.seed,
-                key_bits=config.key_bits,
-                incremental=incremental,
-            )
-        return ShardedRSPServer(
-            catalog=town.entities,
+    def make_server() -> ShardedRSPServer:
+        return build_server(
+            town.entities,
+            n_shards=n_shards,
             quota_per_day=config.quota_per_day,
             key_seed=config.seed,
             key_bits=config.key_bits,
-            n_shards=n_shards,
             workers=workers,
             incremental=incremental,
         )
 
-    server: RSPServer | ShardedRSPServer = make_server()
+    server = make_server()
     network: AnonymityNetwork = batching_network(
         batch_interval=config.batch_interval, seed=config.seed
     )
@@ -271,11 +257,10 @@ def run_epochs(
     pair: ReplicatedRSPServer | None = None
     if durable_dir is not None:
         base = Path(durable_dir)
-        sharded = getattr(server, "shards", None) is not None
         journal = DurableJournal(
             base / "primary",
-            n_lanes=server.router.n_shards if sharded else 1,
-            lane_of=server.router.shard_of if sharded else None,
+            n_lanes=server.router.n_shards,
+            lane_of=server.shard_of,
             telemetry=telemetry,
         )
         attach_journal(server, journal)

@@ -1,20 +1,23 @@
-"""Horizontal scale-out for the RSP service.
+"""The RSP server and its horizontal scale-out.
 
 The paper's repository must absorb implicit opinions from *every* user of
 a service — orders of magnitude more input than today's explicit reviews
-(Section 2, Table 1) — so the single in-process :class:`RSPServer` object
-eventually becomes the bottleneck.  This package shards the four stores
-across N partitions keyed by a prefix of the unlinkable ``hash(Ru, e)``
-record identifier and runs the maintenance cycle (fraud profiling →
-history filtering → opinion summarization) shard-parallel across a
-``concurrent.futures`` worker pool.
+(Section 2, Table 1).  :class:`ShardedRSPServer` is the one server
+implementation: it shards the four stores across N partitions keyed by a
+prefix of the unlinkable ``hash(Ru, e)`` record identifier and runs the
+maintenance cycle (fraud profiling → history filtering → opinion
+summarization) shard-parallel across a ``concurrent.futures`` worker
+pool.  The paper's single server, :class:`~repro.service.server.RSPServer`,
+is its one-shard deployment, and any deployment can split or merge
+shards live (:mod:`repro.reshard`).
 
-The load-bearing promise is *equivalence*: for every input sequence the
-sharded server accepts exactly the envelopes the monolithic server
-accepts, and its maintenance cycle produces bit-identical reports,
-verdicts, and entity summaries for every shard count and worker count.
-``tests/scale`` proves this differentially and property-wise;
-``docs/SCALING.md`` explains why it holds.
+The load-bearing promise is *equivalence*: for every input sequence every
+shard count accepts exactly the envelopes the per-entity reference
+monolith (``tests/oracle.py``) accepts, and its maintenance cycle
+produces bit-identical reports, verdicts, and entity summaries for every
+shard count and worker count.  ``tests/scale`` proves this
+differentially and property-wise; ``docs/SCALING.md`` explains why it
+holds.
 """
 
 from repro.scale.merge import merge_counts, merge_folded, merge_histories, merge_pools

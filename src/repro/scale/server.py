@@ -1,9 +1,14 @@
-"""The sharded RSP service: N store partitions behind one intake facade.
+"""The RSP service: Figure 2's server, its stores in N partitions.
 
-:class:`ShardedRSPServer` exposes the same surface as the monolithic
-:class:`~repro.service.server.RSPServer` — intake, maintenance, search,
-counters, ``fault_hook`` — but keys every piece of durable state to one
-of N shards:
+:class:`ShardedRSPServer` is the one server implementation.  It holds
+the four stores (explicit reviews, anonymous interaction histories,
+anonymous inferred opinions, spent tokens), runs the maintenance cycle
+(fraud profiles → history filtering → opinion summaries), and answers
+search queries with explicit reviews, inferred summaries, and
+comparative visualizations side by side.  The paper's single server is
+its one-shard deployment, :class:`~repro.service.server.RSPServer`.
+
+Every piece of durable state is keyed to one of N shards:
 
 * interaction histories and inferred opinions route by their unlinkable
   ``hash(Ru, e)`` record identifier (so a record, its re-uploads, and its
@@ -14,23 +19,32 @@ of N shards:
   *globally* exact: identical nonces (or token ids) always meet in the
   same bucket, whatever record they arrive with.
 
-Every behaviour here is contractually bit-identical to the monolithic
-server: same accepted/rejected/duplicate classification for every intake
-sequence, same maintenance reports, verdicts, and summaries for every
-shard and worker count.  ``tests/scale`` holds the proof obligations.
+Token checking happens once per envelope, before dispatching the record
+to its store — forged, replayed, or missing tokens bounce the whole
+envelope — in one batch loop, :func:`repro.service.intake.intake`.
+
+Every behaviour here is contractually bit-identical for every shard and
+worker count, and to the per-entity reference monolith kept in
+``tests/oracle.py``: same accepted/rejected/duplicate classification for
+every intake sequence, same maintenance reports, verdicts, and
+summaries.  ``tests/scale`` holds the proof obligations.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.core.aggregation import EntityOpinionSummary, OpinionUpload
+from repro.core.discovery import DiscoveryService, Query, SearchResponse
 from repro.core.protocol import Envelope
-from repro.fraud.attestation import AttestationVerifier
-from repro.fraud.detector import DetectorConfig
+from repro.core.visualization import ComparativeVisualization, compare_entities
+from repro.fraud.attestation import AttestationQuote, AttestationVerifier
+from repro.fraud.detector import DetectorConfig, HistoryVerdict
 from repro.fraud.profiles import profiles_from_pools
 from repro.privacy.anonymity import Delivery
 from repro.privacy.history_store import InteractionHistory
-from repro.privacy.tokens import UploadToken
+from repro.privacy.tokens import TokenIssuer, UploadToken
 from repro.scale import parallel
 from repro.scale.kernel import GatherFrame, build_gather, kept_counts
 from repro.scale.merge import group_verdicts_by_entity, merge_pools
@@ -38,17 +52,45 @@ from repro.scale.router import ShardRouter
 from repro.scale.shard import ShardState
 from repro.service.incremental import MaintenanceEngine
 from repro.service.intake import intake
-from repro.service.server import (
-    ExplicitReview,
-    MaintenanceReport,
-    ServiceFacade,
-    emit_maintenance_telemetry,
-)
-from repro.telemetry import DEPLOYMENT
+from repro.telemetry import DEPLOYMENT, NULL, Telemetry
+from repro.telemetry.catalog import DIRTY_SET_BUCKETS
 from repro.world.entities import Entity
 
 if TYPE_CHECKING:
     from repro.serve.engine import ServeQuery, ServeResponse
+    from repro.serve.facade import ServingLayer
+
+
+@dataclass(frozen=True)
+class ExplicitReview:
+    """A review posted under a user account, like on today's services."""
+
+    # The legacy path is attributed *by design*: users post these under
+    # their account exactly as on today's services (Section 2 baseline).
+    user_id: str  # repro: allow[priv-server-identity]
+    entity_id: str
+    rating: int
+    time: float
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.rating <= 5:
+            raise ValueError("rating must lie in 1..5")
+
+
+@dataclass
+class MaintenanceReport:
+    """Outcome of one maintenance cycle."""
+
+    n_histories: int = 0
+    n_rejected_histories: int = 0
+    n_opinions_received: int = 0
+    n_opinions_kept: int = 0
+    rejected: list[HistoryVerdict] = field(default_factory=list)
+
+
+def _first_lane(key) -> int:
+    """The route of every key when there is one lane."""
+    return 0
 
 
 class ShardedTokenRedeemer:
@@ -59,13 +101,13 @@ class ShardedTokenRedeemer:
     partition is invisible to the double-spend semantics.
     """
 
-    def __init__(self, public_key, router: ShardRouter) -> None:
+    def __init__(self, public_key, server: "ShardedRSPServer") -> None:
         self._public_key = public_key
-        self._router = router
-        self._spent: list[set[int]] = [set() for _ in range(router.n_shards)]
+        self._server = server
+        self._spent: list[set[int]] = [set() for _ in range(server.router.n_shards)]
 
     def redeem(self, token: UploadToken) -> bool:
-        bucket = self._spent[self._router.shard_of_bytes(token.token_id)]
+        bucket = self._spent[self._server.shard_of_bytes(token.token_id)]
         if token.token_id in bucket:
             return False
         if not self._public_key.verify(token.token_id, token.signature):
@@ -96,14 +138,15 @@ class ShardedStoreView:
         return histories
 
     def opinion(self, history_id: str):
-        shard = self._server.shards[self._server.router.shard_of(history_id)]
-        return shard.opinions.get(history_id)
+        server = self._server
+        return server.shards[server.shard_of(history_id)].opinions.get(history_id)
 
     def has_opinion(self, history_id: str) -> bool:
         return self.opinion(history_id) is not None
 
     def explicit_ratings(self, entity_id: str) -> list[float]:
-        shard = self._server.shards[self._server.router.shard_of(entity_id)]
+        server = self._server
+        shard = server.shards[server.shard_of(entity_id)]
         return [float(review.rating) for review in shard.reviews.get(entity_id, [])]
 
     def review_entities(self) -> set[str]:
@@ -119,15 +162,19 @@ class ShardedStoreView:
         return entities
 
 
-class ShardedRSPServer(ServiceFacade):
-    """The re-architected service, partitioned for horizontal scale.
+class ShardedRSPServer:
+    """The re-architected recommendation service, in ``n_shards`` partitions.
 
     A ``journal`` installed here is a per-shard-lane
     :class:`~repro.durability.journal.DurableJournal` built with
-    ``lane_of=self.router.shard_of``, so each shard's mutations land in
-    their own WAL file.  Aggregate telemetry carries the *same* names and
-    values as the monolith's; per-shard detail goes under DEPLOYMENT
-    scope, outside the invariant digest.
+    ``lane_of=server.shard_of``, so each shard's mutations land in their
+    own WAL file.  Aggregate telemetry carries the same names and values
+    for every shard count; per-shard detail goes under DEPLOYMENT scope,
+    outside the invariant digest.
+
+    ``receive_all``, ``run_maintenance`` and ``query`` are looked up by
+    the benchmark's layer tracer (``perfbench/tracer.py``) in this class's
+    own dict and in :class:`~repro.service.server.RSPServer`'s.
     """
 
     def __init__(
@@ -143,19 +190,57 @@ class ShardedRSPServer(ServiceFacade):
         workers: int = 0,
         incremental: bool = True,
     ) -> None:
-        super().__init__(
-            catalog,
-            quota_per_day,
-            key_seed,
-            key_bits,
-            require_tokens,
-            detector_config,
-            attestation,
-            incremental,
-        )
+        if not catalog:
+            raise ValueError("catalog must be non-empty")
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = serial)")
-        self.router = ShardRouter(n_shards)
+        self.catalog = {entity.entity_id: entity for entity in catalog}
+        self.entity_kinds = {e.entity_id: e.kind.label for e in catalog}
+        self.issuer = TokenIssuer(
+            quota_per_day=quota_per_day, key_seed=key_seed, key_bits=key_bits
+        )
+        self.require_tokens = require_tokens
+        self.attestation = attestation
+        self.rejected_attestations = 0
+        self._discovery = DiscoveryService(catalog)
+        self._detector_config = detector_config
+        #: ``False`` forces every maintenance cycle to recompute from
+        #: scratch — the contractual baseline the incremental path must
+        #: match byte for byte (``tests/scale/test_incremental.py``).
+        self.incremental = incremental
+        self.accepted_envelopes = 0
+        self.rejected_envelopes = 0
+        #: Network-level copies of accepted envelopes, suppressed by the
+        #: nonce table — the idempotent dedup that makes retransmission
+        #: over the ack-free channel safe.  Keyed on the envelope's random
+        #: nonce, never on a payload or identity digest (see
+        #: docs/RELIABILITY.md for why).
+        self.duplicates_suppressed = 0
+        #: Stale opinion re-uploads dropped by ``seq`` ordering (the
+        #: envelope still counts as accepted; only the slot write is
+        #: skipped — see docs/RELIABILITY.md).
+        self.opinions_stale = 0
+        #: Interaction uploads bounced because their history identifier
+        #: is bound to a different entity (client bug or corruption
+        #: attempt).
+        self.history_mismatches = 0
+        #: Envelopes that arrived while the endpoint was down (harness
+        #: hook); the fire-and-forget sender never learns about these.
+        self.dropped_by_outage = 0
+        #: Optional harness hook with ``server_down(now) -> bool``.
+        self.fault_hook = None
+        #: Optional durability hook (duck-typed like ``fault_hook``): a
+        #: :class:`repro.durability.journal.DurableJournal` installed by
+        #: the deployment driver.  Accepted mutations are journaled
+        #: *before* the acceptance commit; a journal failure propagates —
+        #: the process must die rather than acknowledge unlogged state.
+        self.journal = None
+        #: Aggregate-only observability sink (no-op until a harness
+        #: installs a real :class:`~repro.telemetry.Telemetry`).
+        self.telemetry: Telemetry = NULL
+        #: Lazily constructed read path (see :attr:`serving`).
+        self._serving = None
+        self._install_router(ShardRouter(n_shards))
         #: Worker processes for maintenance (0 = in-process serial).
         self.workers = workers
         #: Kept for resharding: split/merge derive new shard seeds from it.
@@ -165,23 +250,115 @@ class ShardedRSPServer(ServiceFacade):
         self.reshard_seq = 0
         self.reshard_history: list[dict] = []
         self.shards = [ShardState(index, key_seed) for index in range(n_shards)]
-        self._redeemer = ShardedTokenRedeemer(self.issuer.public_key, self.router)
+        self._redeemer = ShardedTokenRedeemer(self.issuer.public_key, self)
+        #: Nonces of accepted envelopes — the idempotent-dedup table.
         self._nonce_buckets: list[set[bytes]] = [set() for _ in range(n_shards)]
         # With ``incremental=True``, maintenance re-filters/re-summarizes
         # only dirty entities serially when the dirty set is small,
         # falling back to the pooled kernel when most of the deployment is
         # dirty anyway (the hybrid keeps both paths byte-identical —
         # ``tests/scale/test_incremental.py``).
-        self._adopt_engine(
-            MaintenanceEngine(ShardedStoreView(self), self.entity_kinds, detector_config)
+        self._engine = MaintenanceEngine(
+            ShardedStoreView(self), self.entity_kinds, detector_config
+        )
+        # Aliases into the engine's caches: the engine mutates these in
+        # place only, so search/summary always see the latest cycle.
+        self._summaries: dict[str, EntityOpinionSummary] = self._engine.summaries
+        self._accepted_histories: dict[str, list[InteractionHistory]] = (
+            self._engine.accepted
         )
         self._gather: GatherFrame | None = None
         self._gather_versions: tuple[int, ...] | None = None
         #: Times the worker pool died and maintenance re-ran serially.
         self.pool_fallbacks = 0
 
-    def _intake_lanes(self):
-        return self.router, self.shards, self._nonce_buckets
+    def _install_router(self, router: ShardRouter) -> None:
+        """Route through ``router`` from now on.
+
+        ``shard_of`` (string keys) and ``shard_of_bytes`` (nonces, token
+        ids) are what every store access routes with.  This is the one
+        place that decides them: with one lane every key lives in lane 0,
+        so the router's hashing is skipped altogether.
+        """
+        self.router = router
+        if router.n_shards == 1:
+            self.shard_of = self.shard_of_bytes = _first_lane
+        else:
+            self.shard_of = router.shard_of
+            self.shard_of_bytes = router.shard_of_bytes
+
+    def attach_telemetry(self, telemetry: Telemetry) -> None:
+        """Install a shared telemetry sink on the server and its issuer."""
+        self.telemetry = telemetry
+        self.issuer.telemetry = telemetry
+
+    # --------------------------------------------------------------- serving
+
+    def attach_serving(self, **kwargs) -> "ServingLayer":
+        """Build the indexed serving layer (see :mod:`repro.serve`).
+
+        Keyword arguments are forwarded to
+        :class:`~repro.serve.facade.ServingLayer` (``grid``, ``ranking``,
+        ``max_cache_entries``).  Idempotent only in the trivial sense:
+        attaching again replaces the layer and cold-starts its cache.
+        """
+        from repro.serve.facade import ServingLayer
+
+        self._serving = ServingLayer(self, **kwargs)
+        return self._serving
+
+    @property
+    def serving(self) -> "ServingLayer":
+        """The read path, constructed on first use.
+
+        Lazy on purpose: a deployment that never queries never subscribes
+        to maintenance notifications and never emits ``rsp.serve.*``
+        metrics, keeping query-free telemetry exports bit-stable.
+        """
+        if self._serving is None:
+            self.attach_serving()
+        return self._serving
+
+    def query(self, query: "ServeQuery") -> "ServeResponse":
+        """Answer a read-path query through the cached serving layer."""
+        return self.serving.query(query)
+
+    # ------------------------------------------------------------- intake
+
+    def issue_tokens(
+        self,
+        # Issuance-side identity only: the signature is blind, so the token
+        # redeemed later cannot be linked back to this device_id (Section 4.2).
+        device_id: str,  # repro: allow[priv-server-identity]
+        blinded_values: list[int],
+        now: float,
+        quote: AttestationQuote | None = None,
+    ) -> list[int]:
+        """Blind-sign upload tokens for an attested device.
+
+        When the server was built with an attestation verifier (Section
+        4.3's remote-attestation defense), a valid fresh quote from a
+        genuine client build is required — modified clients are cut off
+        from uploading *anything* because they can never obtain tokens.
+        Issuance is a single-endpoint concern (quota windows are per
+        device), so it is never partitioned; only redemption state is.
+        """
+        if self.attestation is not None:
+            if quote is None or not self.attestation.verify(quote):
+                self.rejected_attestations += 1
+                raise PermissionError(
+                    f"device {device_id} failed attestation; no tokens issued"
+                )
+        return self.issuer.issue(device_id, blinded_values, now=now)
+
+    def receive(self, delivery: Delivery[Envelope], now: float | None = None) -> bool:
+        """Process one anonymous envelope off the network.
+
+        A batch of one through :func:`repro.service.intake.intake` (see
+        there for the check order and what each outcome means): it records
+        no intake-batch sample and does no group commit.
+        """
+        return intake(self, [delivery], now, batch=False) == 1
 
     def receive_all(
         self, deliveries: list[Delivery[Envelope]], now: float | None = None
@@ -192,10 +369,6 @@ class ShardedRSPServer(ServiceFacade):
         accepted, with one group commit across all WAL lanes.
         """
         return intake(self, deliveries, now)
-
-    def query(self, query: "ServeQuery") -> "ServeResponse":
-        """Answer a read-path query through the cached serving layer."""
-        return self.serving.query(query)
 
     def post_review(
         self,
@@ -209,9 +382,9 @@ class ShardedRSPServer(ServiceFacade):
         """Accept an explicit, attributed review (the legacy path)."""
         if entity_id not in self.catalog:
             raise KeyError(f"unknown entity {entity_id!r}")
-        shard = self.shards[self.router.shard_of(entity_id)]
-        # Construct-then-journal mirrors the monolith: validation runs
-        # before the WAL sees the review, the WAL before the store does.
+        shard = self.shards[self.shard_of(entity_id)]
+        # Constructing first validates the rating, so an invalid review
+        # can never reach the WAL; journaling precedes the store append.
         review = ExplicitReview(
             user_id=user_id, entity_id=entity_id, rating=rating, time=time
         )
@@ -231,7 +404,7 @@ class ShardedRSPServer(ServiceFacade):
             self._gather = build_gather(
                 frames,
                 [shard.opinions for shard in self.shards],
-                self.router.shard_of,
+                self.shard_of,
                 self.catalog,
             )
             self._gather_versions = versions
@@ -252,8 +425,16 @@ class ShardedRSPServer(ServiceFacade):
         survive the fork); **B** judges every shard's histories against
         the global profiles; **C** rebuilds entity summaries per entity
         partition.  All merges are order-independent (sums, sorted
-        concatenations), so the report is bit-identical to the monolithic
-        cycle for any shard and worker count, in either mode.
+        concatenations), so the report is bit-identical to the per-entity
+        full recompute for any shard and worker count, in either mode.
+
+        Aggregation inputs are put into *canonical order* (histories and
+        opinions sorted by ``history_id``, entities visited in sorted
+        order, verdicts sorted by ``history_id``) before any float math
+        runs.  Floating-point reductions are order-dependent, so this is
+        what makes the cycle's output a pure function of store *content*
+        rather than arrival interleaving or partitioning (see
+        docs/SCALING.md).
 
         Telemetry is recorded in the parent process only — increments in
         forked pool workers would die with the worker, and parent-side
@@ -283,7 +464,7 @@ class ShardedRSPServer(ServiceFacade):
             merge_pools([shard.pools(self.entity_kinds) for shard in self.shards])
         )
         full = not self.incremental
-        plan = self._engine.plan(profiles=profiles, full=full)
+        plan = self._engine.plan(profiles)
         # Hybrid execution: the serial engine wins while the tracked set
         # is small; once half the deployment must recompute anyway, the
         # pooled kernel is cheaper.  Both sides are byte-identical, so
@@ -334,13 +515,7 @@ class ShardedRSPServer(ServiceFacade):
         report.rejected = self._engine.rejected_verdicts()
         report.n_rejected_histories = len(report.rejected)
         report.n_opinions_kept = self._engine.n_opinions_kept
-        emit_maintenance_telemetry(
-            self.telemetry,
-            report,
-            stats,
-            now,
-            mode="incremental" if self.incremental else "full",
-        )
+        self._emit_maintenance_telemetry(report, stats, now)
         for shard in self.shards:
             self.telemetry.set_gauge(
                 "rsp.shard.histories",
@@ -354,6 +529,49 @@ class ShardedRSPServer(ServiceFacade):
                     "shard.maintenance", now, now, scope=DEPLOYMENT, shard=shard.index
                 )
         return report
+
+    def _emit_maintenance_telemetry(
+        self, report: MaintenanceReport, stats, now: float | None
+    ) -> None:
+        """Record one maintenance cycle in the AGGREGATE scope.
+
+        Every value here derives from the report and the *tracked* cycle
+        stats, which are identical across incremental and full modes and
+        across shard/worker counts — so the AGGREGATE export stays
+        byte-identical whatever actually executed.  The mode-dependent
+        span lives under DEPLOYMENT scope, outside the invariant digest.
+        """
+        telemetry = self.telemetry
+        telemetry.inc("rsp.maintenance.cycles")
+        telemetry.set_gauge("rsp.maintenance.histories", report.n_histories)
+        telemetry.set_gauge(
+            "rsp.maintenance.rejected_histories", report.n_rejected_histories
+        )
+        telemetry.set_gauge("rsp.maintenance.opinions_kept", report.n_opinions_kept)
+        telemetry.set_gauge("rsp.maintenance.dirty_entities", stats.n_dirty)
+        telemetry.set_gauge("rsp.maintenance.cached_entities", stats.n_judge_cached)
+        telemetry.inc("rsp.maintenance.cache_hits", stats.n_judge_cached, phase="judge")
+        telemetry.inc(
+            "rsp.maintenance.cache_skips", stats.n_judge_tracked, phase="judge"
+        )
+        telemetry.inc(
+            "rsp.maintenance.cache_hits", stats.n_summarize_cached, phase="summarize"
+        )
+        telemetry.inc(
+            "rsp.maintenance.cache_skips", stats.n_summarize_tracked, phase="summarize"
+        )
+        telemetry.inc("rsp.maintenance.redirtied", stats.n_redirtied)
+        telemetry.observe(
+            "rsp.maintenance.dirty_set",
+            stats.n_judge_tracked,
+            buckets=DIRTY_SET_BUCKETS,
+        )
+        if now is not None:
+            mode = "incremental" if self.incremental else "full"
+            telemetry.span("maintenance", now, now)
+            telemetry.span(
+                "maintenance.incremental", now, now, scope=DEPLOYMENT, mode=mode
+            )
 
     # -------------------------------------------------------- resharding
     #
@@ -468,12 +686,11 @@ class ShardedRSPServer(ServiceFacade):
         source.version += 1
         dest.store_version += 1
         dest.version += 1
-        self.router = router
-        self._redeemer._router = router
+        self._install_router(router)
         self._gather = None
         self._gather_versions = None
         if self.journal is not None:
-            self.journal.remap_lanes(router.n_shards, router.shard_of)
+            self.journal.remap_lanes(router.n_shards, self.shard_of)
 
     @property
     def n_shards_live(self) -> int:
@@ -482,9 +699,64 @@ class ShardedRSPServer(ServiceFacade):
 
     # -------------------------------------------------------------- query
 
+    def summary(self, entity_id: str) -> EntityOpinionSummary | None:
+        return self._summaries.get(entity_id)
+
+    def all_summaries(self) -> dict[str, EntityOpinionSummary]:
+        """Every entity summary from the latest maintenance cycle.
+
+        Canonical (entity-id) order: the engine's cache is insertion-
+        ordered by recompute history, which differs between incremental
+        and full cycles and between deployments — sorting keeps every
+        reader order-independent.
+        """
+        return {
+            entity_id: self._summaries[entity_id]
+            for entity_id in sorted(self._summaries)
+        }
+
+    def search(self, query: Query, compare_top: int = 3) -> SearchResponse:
+        """Answer a query with ranked results plus comparative visualizations
+        of the top candidates (Figure 3 as a product feature)."""
+        response = self._discovery.search(query, self._summaries)
+        visualization: ComparativeVisualization | None = None
+        top = [r.entity.entity_id for r in response.results[:compare_top]]
+        if top:
+            visualization = compare_entities(
+                {
+                    entity_id: self._accepted_histories.get(entity_id, [])
+                    for entity_id in top
+                }
+            )
+        return SearchResponse(
+            query=response.query, results=response.results, visualization=visualization
+        )
+
     def reviews_for(self, entity_id: str) -> list[ExplicitReview]:
-        shard = self.shards[self.router.shard_of(entity_id)]
+        shard = self.shards[self.shard_of(entity_id)]
         return list(shard.reviews.get(entity_id, []))
+
+    def opinion(self, history_id: str) -> OpinionUpload | None:
+        """The opinion slot of one anonymous history (``None`` if empty)."""
+        return self.shards[self.shard_of(history_id)].opinions.get(history_id)
+
+    def all_histories(self) -> list[InteractionHistory]:
+        """Every stored interaction history, in history-id order."""
+        return sorted(
+            (
+                history
+                for shard in self.shards
+                for history in shard.store.all_histories()
+            ),
+            key=lambda history: history.history_id,
+        )
+
+    def all_opinions(self) -> list[OpinionUpload]:
+        """Every filled opinion slot, in history-id order."""
+        return sorted(
+            (opinion for shard in self.shards for opinion in shard.opinions.values()),
+            key=lambda opinion: opinion.history_id,
+        )
 
     # ----------------------------------------------------------- counters
 

@@ -18,24 +18,38 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.aggregation import OpinionUpload
 from repro.fraud.profiles import ProfilePools
 from repro.privacy.history_store import HistoryStore
 from repro.scale.kernel import ShardFrame, build_frame, collect_pools
-from repro.service.intake import StoreLane
 from repro.util.rng import derive_seed, make_rng
 
 
-class ShardState(StoreLane):
-    """One partition of the sharded server's stores.
+class ShardState:
+    """One partition of the server's stores, as intake writes it.
 
-    The intake lane (store, opinion slots, dirty set drained into the
-    incremental engine at maintenance, versions) plus what only the
-    sharded deployment keeps per partition: reviews, a seed, and the
-    version-keyed maintenance caches.
+    The store is always a plain :class:`HistoryStore` — no redeemer
+    (tokens are checked at the envelope layer) and no per-history fold
+    bound — which is what lets :func:`repro.service.intake.intake` inline
+    its appends.  Alongside it: opinion slots, explicit reviews, the dirty
+    set drained into the incremental engine at maintenance, a seed, and
+    the version-keyed maintenance caches.
     """
 
     def __init__(self, index: int, key_seed: int) -> None:
-        super().__init__(HistoryStore(), {}, set())
+        self.store = HistoryStore()
+        #: Latest inferred opinion per anonymous history (highest ``seq``
+        #: wins; ties keep the existing record — see docs/RELIABILITY.md).
+        self.opinions: dict[str, OpinionUpload] = {}
+        #: Entities whose state in this shard changed since the last
+        #: maintenance cycle.
+        self.dirty_entities: set[str] = set()
+        #: Bumped on every accepted interaction record; keys the frame and
+        #: profile-pool caches (opinions don't affect either).
+        self.store_version = 0
+        #: Bumped on interactions *and* opinion-slot changes; keys the
+        #: server's gather cache, which folds opinions in.
+        self.version = 0
         self.index = index
         #: Label-derived, so adding shard 9 never perturbs shards 0-8.
         self.seed = derive_seed(key_seed, f"scale/shard[{index}]")

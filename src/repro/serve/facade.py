@@ -1,9 +1,9 @@
-"""One serving facade for both deployments: ``server.serving``.
+"""One serving facade for every deployment: ``server.serving``.
 
-:class:`ServingLayer` duck-types its server — monolithic
-:class:`~repro.service.server.RSPServer` or sharded
-:class:`~repro.scale.server.ShardedRSPServer` — through the same four
-attributes both expose: ``catalog``, ``_summaries``,
+:class:`ServingLayer` duck-types its server — a
+:class:`~repro.scale.server.ShardedRSPServer` of any shard count, or the
+reference monolith of the test suite — through four attributes:
+``catalog``, ``_summaries``,
 ``_accepted_histories``, and ``_engine`` (the
 :class:`~repro.service.incremental.MaintenanceEngine` whose dirty-set
 notifications drive cache invalidation).  ``telemetry`` is read off the

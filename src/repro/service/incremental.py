@@ -2,12 +2,12 @@
 
 The maintenance cycle (fraud profiles → history filtering → opinion
 summaries) is a pure function of store *content* — the canonical-order
-discipline of :meth:`repro.service.server.RSPServer.run_maintenance`
+discipline of :meth:`repro.scale.server.ShardedRSPServer.run_maintenance`
 makes it so.  That purity is what licenses incrementality: an entity
 whose inputs did not change since the last cycle would recompute the
 same accepted partition, the same verdicts, and the same summary, so the
 cycle may skip it and keep the cached values — *byte-identical* output,
-less work.  This module owns that bookkeeping for both deployments.
+less work.  This module owns that bookkeeping for every deployment.
 
 The invalidation contract (see docs/SCALING.md "Incremental
 maintenance"):
@@ -17,9 +17,9 @@ maintenance"):
   entity of its history slot (a new slot changes the owner's kept-opinion
   count) and, on a cross-entity overwrite, the previously claimed entity.
 * **Profile-digest guard** — fraud profiles are rebuilt every cycle
-  (per-kind pools are cached and rebuilt only for kinds with dirty
-  entities, which is exact because store content changes only at dirty
-  entities).  If the digest of a kind's profile — or of the
+  (the server caches per-shard pools by store version, which is exact
+  because pools depend only on stored interactions).  If the digest of
+  a kind's profile — or of the
   :class:`~repro.fraud.detector.DetectorConfig` folded into every
   digest — changed since the previous cycle, every entity of that kind
   is conservatively re-dirtied, so verdicts can never go stale against a
@@ -38,10 +38,9 @@ every loop below goes through ``sorted()`` before touching float math,
 and the ``det-dirty-iteration`` lint rule holds the line.
 
 This module must not import from :mod:`repro.scale` —
-``repro.scale.server`` imports :mod:`repro.service.server`, which
-imports this module, so a scale import here would be a cycle.  The
-sharded facade instead passes its pooled profiles into :meth:`plan` and
-hands kernel results to :meth:`adopt_full`.
+``repro.scale.server`` imports this module, so a scale import here would
+be a cycle.  The server instead passes its pooled profiles into
+:meth:`plan` and hands kernel results to :meth:`adopt_full`.
 """
 
 from __future__ import annotations
@@ -53,12 +52,7 @@ from typing import Protocol
 
 from repro.core.aggregation import EntityOpinionSummary, OpinionUpload, summarize_entity
 from repro.fraud.detector import DetectorConfig, FraudDetector, HistoryVerdict
-from repro.fraud.profiles import (
-    ProfilePools,
-    TypicalProfile,
-    collect_profile_pools,
-    profiles_from_pools,
-)
+from repro.fraud.profiles import TypicalProfile
 from repro.privacy.history_store import InteractionHistory
 
 
@@ -76,33 +70,6 @@ class StoreView(Protocol):
     def review_entities(self) -> set[str]: ...
 
     def entities_with_histories(self) -> set[str]: ...
-
-
-class MonolithStoreView:
-    """:class:`StoreView` over the monolithic server's stores."""
-
-    def __init__(self, history_store, opinions: dict, reviews: dict) -> None:
-        self._store = history_store
-        self._opinions = opinions
-        self._reviews = reviews
-
-    def histories_for_entity(self, entity_id: str) -> list[InteractionHistory]:
-        return self._store.histories_for_entity(entity_id)
-
-    def opinion(self, history_id: str) -> OpinionUpload | None:
-        return self._opinions.get(history_id)
-
-    def has_opinion(self, history_id: str) -> bool:
-        return history_id in self._opinions
-
-    def explicit_ratings(self, entity_id: str) -> list[float]:
-        return [float(r.rating) for r in self._reviews.get(entity_id, [])]
-
-    def review_entities(self) -> set[str]:
-        return set(self._reviews)
-
-    def entities_with_histories(self) -> set[str]:
-        return set(self._store.entity_ids())
 
 
 def profile_digest(profile: TypicalProfile, config: DetectorConfig) -> str:
@@ -135,7 +102,7 @@ class CycleStats:
     All fields derive from *tracked* sets (what incrementality says must
     be recomputed), never from what a given mode actually executed, so
     the aggregate telemetry built from them is byte-identical between
-    incremental and full recompute, monolithic and sharded.
+    incremental and full recompute, for every shard count.
     """
 
     n_dirty: int = 0
@@ -152,7 +119,7 @@ class MaintenanceEngine:
     The engine owns the authoritative post-filter state: the accepted
     history partitions, the suspicious verdicts, the surviving-history
     set, per-owner kept-opinion counts, and the entity summaries.  The
-    servers alias ``accepted`` and ``summaries`` directly (search reads
+    server aliases ``accepted`` and ``summaries`` directly (search reads
     them), so every update here mutates in place and never rebinds.
     """
 
@@ -178,11 +145,6 @@ class MaintenanceEngine:
         self.kept: dict[str, int] = {}
         self._accepted_ids: dict[str, frozenset[str]] = {}
         self._surviving: set[str] = set()
-        #: Per-entity feature-value fragments and the per-kind caches they
-        #: roll up into (monolith profile path only; the sharded facade
-        #: pools per shard and passes profiles into :meth:`plan`).
-        self._fragments: dict[str, ProfilePools] = {}
-        self._kind_profiles: dict[str, TypicalProfile | None] = {}
         self._profile_digests: dict[str, str] = {}
         #: Cycle listeners (the serving layer's cache-invalidation hook).
         self._listeners: list[Callable[[frozenset[str]], None]] = []
@@ -232,26 +194,16 @@ class MaintenanceEngine:
 
     # ----------------------------------------------------------- planning
 
-    def plan(
-        self,
-        profiles: dict[str, TypicalProfile] | None = None,
-        full: bool = False,
-    ) -> CyclePlan:
+    def plan(self, profiles: dict[str, TypicalProfile]) -> CyclePlan:
         """Drain the dirty set and decide what this cycle must recompute.
 
-        ``profiles`` lets the sharded facade supply its pooled (and
-        bitwise-equivalent) profiles; when ``None``, the monolith path
-        builds them from per-entity fragments, rebuilding only the kinds
-        that contain a dirty entity (``full`` bypasses the fragment cache
-        and recollects everything, the honest from-scratch baseline).
+        ``profiles`` are this cycle's per-kind fraud profiles, built from
+        the whole store; a kind whose profile digest moved re-dirties
+        every entity of that kind.
         """
         dirty = set(self._dirty)
         self._dirty.clear()
-        for entity_id in sorted(dirty):
-            self._fragments.pop(entity_id, None)
         entities = self.view.entities_with_histories()
-        if profiles is None:
-            profiles = self._build_profiles(dirty, entities, full=full)
         digests = {
             kind: profile_digest(profile, self.config)
             for kind, profile in sorted(profiles.items())
@@ -277,51 +229,6 @@ class MaintenanceEngine:
             n_entities=len(entities),
             prev_summary_keys=set(self.summaries),
         )
-
-    def _build_profiles(
-        self, dirty: set[str], entities: set[str], full: bool
-    ) -> dict[str, TypicalProfile]:
-        """Per-kind profiles from cached per-entity feature fragments.
-
-        Exactness: a kind's pooled values change only when one of its
-        entities' histories changed, and every such entity is dirty — so
-        a kind with no dirty entity reuses its cached profile, and the
-        result is the same multiset of values :func:`build_profiles`
-        would pool (``np.percentile`` sorts, so collection order never
-        matters).
-        """
-        by_kind: dict[str, list[str]] = {}
-        for entity_id in sorted(entities):
-            kind = self.entity_kinds.get(entity_id)
-            if kind is not None:
-                by_kind.setdefault(kind, []).append(entity_id)
-        dirty_kinds = {
-            self.entity_kinds.get(entity_id) for entity_id in sorted(dirty)
-        }
-        for kind in sorted(by_kind):
-            if not full and kind in self._kind_profiles and kind not in dirty_kinds:
-                continue
-            pool = ProfilePools()
-            for entity_id in by_kind[kind]:
-                fragment = self._fragments.get(entity_id)
-                if fragment is None:
-                    fragment = collect_profile_pools(
-                        self.view.histories_for_entity(entity_id), self.entity_kinds
-                    )
-                    if not full:
-                        self._fragments[entity_id] = fragment
-                _extend_pool(pool, fragment, kind)
-            built = profiles_from_pools(pool)
-            self._kind_profiles[kind] = built.get(kind)
-        # Kinds that lost their last entity keep a stale cache entry only
-        # if they can never come back dirty; drop them for hygiene.
-        for kind in sorted(set(self._kind_profiles) - set(by_kind)):
-            del self._kind_profiles[kind]
-        return {
-            kind: profile
-            for kind, profile in sorted(self._kind_profiles.items())
-            if profile is not None
-        }
 
     # ---------------------------------------------------------- execution
 
@@ -489,18 +396,6 @@ class MaintenanceEngine:
     @property
     def n_opinions_kept(self) -> int:
         return sum(self.kept.values())
-
-
-def _extend_pool(pool: ProfilePools, fragment: ProfilePools, kind: str) -> None:
-    """Concatenate one entity's fragment into a kind pool (multiset union)."""
-    n = fragment.n_histories.get(kind)
-    if not n:
-        return
-    pool.n_histories[kind] = pool.n_histories.get(kind, 0) + n
-    for name in ("gaps", "durations", "counts"):
-        values = getattr(fragment, name).get(kind)
-        if values:
-            getattr(pool, name).setdefault(kind, []).extend(values)
 
 
 def _set_or_pop(mapping: dict, key: str, value) -> None:

@@ -1,6 +1,6 @@
 """The intake loop: Figure 2's envelope check and store dispatch, per batch.
 
-Both deployments run every envelope through :func:`intake`, one batch at
+The server runs every envelope through :func:`intake`, one batch at
 a time.  Each envelope goes through the same steps in the same order:
 
 1. **outage** — a down endpoint processes nothing, so neither the token
@@ -25,13 +25,15 @@ a time.  Each envelope goes through the same steps in the same order:
    failure propagates; the process must die rather than acknowledge state
    its log never recorded.
 
-A deployment is described to the loop by its *lanes*: one
-:class:`StoreLane` per store partition, a router mapping record ids and
-nonce bytes to lane indexes, and one nonce table per lane.  The monolith
-is the one-lane case with no router.  The sharded server routes each
-record once, groups the batch per lane (delivery order is kept within a
-lane) and processes lane by lane — all state an envelope touches is keyed
-by values the envelope carries, so the grouping changes no outcome.
+The server is read by the loop through its *lanes*: one
+:class:`~repro.scale.shard.ShardState` per store partition
+(``server.shards``), one nonce table per lane, and the server's
+``shard_of``/``shard_of_bytes`` routes from record ids and nonce bytes
+to lane indexes.  With more than one lane the loop routes each record
+once, groups the batch per lane (delivery order is kept within a lane)
+and processes lane by lane — all state an envelope touches is keyed by
+values the envelope carries, so the grouping changes no outcome.  With
+one lane nothing is routed.
 
 The loop is written for throughput: lookups are hoisted out of it, the
 record kind is memoized per class, and the store append is inlined.
@@ -49,7 +51,6 @@ from itertools import repeat
 
 from repro.core.aggregation import OpinionUpload
 from repro.privacy.history_store import (
-    HistoryStore,
     InteractionHistory,
     InteractionUpload,
     StoredRecord,
@@ -60,35 +61,6 @@ from repro.telemetry.catalog import (
     SHARD_BATCH_BUCKETS,
 )
 from repro.telemetry.registry import DEPLOYMENT
-
-
-class StoreLane:
-    """One store partition as the intake loop writes it.
-
-    The store is always a plain :class:`HistoryStore` — no redeemer
-    (tokens are checked at the envelope layer) and no per-history fold
-    bound — which is what lets :func:`intake` inline its appends.
-    """
-
-    def __init__(
-        self,
-        store: HistoryStore,
-        opinions: dict[str, OpinionUpload],
-        dirty_entities: set[str],
-    ) -> None:
-        self.store = store
-        #: Latest inferred opinion per anonymous history (highest ``seq``
-        #: wins; ties keep the existing record — see docs/RELIABILITY.md).
-        self.opinions = opinions
-        #: Entities whose state in this lane changed since the last
-        #: maintenance cycle.
-        self.dirty_entities = dirty_entities
-        #: Bumped on every accepted interaction record; keys the sharded
-        #: frame and profile-pool caches (opinions don't affect either).
-        self.store_version = 0
-        #: Bumped on interactions *and* opinion-slot changes; keys the
-        #: sharded gather cache, which folds opinions in.
-        self.version = 0
 
 
 #: Record-kind memo shared across batches: concrete class ->
@@ -108,17 +80,16 @@ def _kind_of(record) -> str | None:
     return kind
 
 
-def _lane_groups(deliveries, router):
+def _lane_groups(deliveries, n_lanes, shard_of):
     """``(lane, [(delivery, route), ...])`` in processing order.
 
     Routes each record once.  A record without a string ``history_id``
     gets route ``None`` and sorts into lane 0; the store dispatch then
     re-derives its lane and fails as a ``store-error``.
     """
-    if router is None:
+    if n_lanes == 1:
         return ((0, zip(deliveries, repeat(0))),)
-    shard_of = router.shard_of
-    groups: list[list] = [[] for _ in range(router.n_shards)]
+    groups: list[list] = [[] for _ in range(n_lanes)]
     for delivery in deliveries:
         key = getattr(delivery.payload.record, "history_id", None)
         route = shard_of(key) if isinstance(key, str) else None
@@ -129,10 +100,11 @@ def _lane_groups(deliveries, router):
 def intake(server, deliveries, now: float | None = None, batch: bool = True) -> int:
     """Classify and store ``deliveries``; return how many were accepted.
 
-    ``server`` supplies its lanes (``_intake_lanes()``) and everything the
-    steps above consult: ``fault_hook``, ``require_tokens``,
-    ``_redeemer``, ``catalog``, ``_engine``, ``journal``, ``telemetry``
-    and the intake counters.  ``now`` overrides the time the outage check
+    ``server`` supplies its lanes (``shards``, ``_nonce_buckets``,
+    ``shard_of``, ``shard_of_bytes``) and everything the steps above
+    consult: ``fault_hook``, ``require_tokens``, ``_redeemer``,
+    ``catalog``, ``_engine``, ``journal``, ``telemetry`` and the intake
+    counters.  ``now`` overrides the time the outage check
     sees: a catch-up job processing a backlog held through an outage
     passes its own (post-outage) processing time.
 
@@ -143,14 +115,16 @@ def intake(server, deliveries, now: float | None = None, batch: bool = True) -> 
     the batch boundary is where the journal fsyncs for power-loss
     durability.
     """
-    router, lanes, nonce_tables = server._intake_lanes()
+    lanes = server.shards
+    nonce_tables = server._nonce_buckets
+    n_lanes = len(lanes)
     telemetry = server.telemetry
     if batch:
         telemetry.observe(
             "rsp.intake.batch", len(deliveries), buckets=INTAKE_BATCH_BUCKETS
         )
-    shard_of = None if router is None else router.shard_of
-    shard_of_bytes = None if router is None else router.shard_of_bytes
+    shard_of = server.shard_of
+    shard_of_bytes = server.shard_of_bytes
     lane_tables = [
         (lane, lane.store._histories, lane.store._by_entity, lane.opinions,
          lane.dirty_entities.add)
@@ -172,8 +146,8 @@ def intake(server, deliveries, now: float | None = None, batch: bool = True) -> 
     outage_dropped = duplicates = stale = mismatches = 0
     accepted_interactions = accepted_opinions = 0
     try:
-        for lane_index, group in _lane_groups(deliveries, router):
-            if batch and router is not None and group:
+        for lane_index, group in _lane_groups(deliveries, n_lanes, shard_of):
+            if batch and n_lanes > 1 and group:
                 telemetry.observe(
                     "rsp.shard.batch",
                     len(group),
@@ -198,9 +172,7 @@ def intake(server, deliveries, now: float | None = None, batch: bool = True) -> 
                 if nonce is None:
                     nonce_bucket = None
                 elif isinstance(nonce, bytes):
-                    nonce_bucket = nonce_tables[
-                        0 if shard_of_bytes is None else shard_of_bytes(nonce)
-                    ]
+                    nonce_bucket = nonce_tables[shard_of_bytes(nonce)]
                 else:
                     rejected["malformed"] = rejected.get("malformed", 0) + 1
                     continue

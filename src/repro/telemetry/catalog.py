@@ -1,10 +1,10 @@
 """Histogram bucket shapes shared by every instrumentation site.
 
-A histogram's buckets are fixed at first use, and the monolithic and
-sharded servers must declare *identical* shapes for the same metric name
-or their exports could never be byte-identical — so the shapes live
-here, once.  The full metric catalog (names, kinds, labels, scopes) is
-documented in ``docs/OBSERVABILITY.md``.
+A histogram's buckets are fixed at first use, and every deployment (and
+the reference monolith of the test suite) must declare *identical*
+shapes for the same metric name or their exports could never be
+byte-identical — so the shapes live here, once.  The full metric catalog
+(names, kinds, labels, scopes) is documented in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations

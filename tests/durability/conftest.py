@@ -14,8 +14,7 @@ from repro.core.protocol import Envelope
 from repro.durability.snapshot import capture_state
 from repro.privacy.anonymity import Delivery
 from repro.privacy.history_store import InteractionUpload
-from repro.scale.server import ShardedRSPServer
-from repro.service.server import RSPServer
+from repro.service.server import build_server
 from repro.world.population import TownConfig, build_town
 
 FIXTURE_SEED = 7
@@ -27,12 +26,8 @@ def catalog():
 
 
 def make_server(catalog, n_shards=1):
-    """A token-free server (monolith or sharded) for direct intake."""
-    if n_shards == 1:
-        return RSPServer(catalog=catalog, require_tokens=False, key_bits=256)
-    return ShardedRSPServer(
-        catalog=catalog, require_tokens=False, key_bits=256, n_shards=n_shards
-    )
+    """A token-free server with ``n_shards`` shards for direct intake."""
+    return build_server(catalog, n_shards=n_shards, require_tokens=False, key_bits=256)
 
 
 def synth_deliveries(catalog, lo, hi, duplicate_every=0):

@@ -44,7 +44,7 @@ def run_workload(catalog, directory, n_shards, duplicate_every):
     journal = DurableJournal(
         directory,
         n_lanes=n_shards,
-        lane_of=server.router.shard_of if n_shards > 1 else None,
+        lane_of=server.router.shard_of,
     )
     attach_journal(server, journal)
     # Reviews go only *before* the snapshot: a review carries no nonce, so
@@ -124,7 +124,7 @@ def test_cold_replay_without_any_snapshot(catalog, tmp_path, n_shards):
     journal = DurableJournal(
         directory,
         n_lanes=n_shards,
-        lane_of=server.router.shard_of if n_shards > 1 else None,
+        lane_of=server.router.shard_of,
     )
     attach_journal(server, journal)
     server.receive_all(synth_deliveries(catalog, *BATCH_1))

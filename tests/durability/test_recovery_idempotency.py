@@ -68,7 +68,7 @@ def test_stale_opinion_seq_survives_recovery(catalog, tmp_path):
 
     recovered = make_server(catalog)
     recover_server(recovered, directory)
-    slot = recovered._opinions["hist-00001"]
+    slot = recovered.opinion("hist-00001")
     assert (slot.seq, slot.rating) == (2, 5.0)
 
     # A delayed older upload (fresh nonce, lower seq) arrives only now:
@@ -77,7 +77,7 @@ def test_stale_opinion_seq_survives_recovery(catalog, tmp_path):
     stale_before = recovered.opinions_stale
     accepted_before = recovered.accepted_envelopes
     recovered.receive_all([opinion_delivery(entity_id, 901, seq=1, rating=1.0)])
-    slot = recovered._opinions["hist-00001"]
+    slot = recovered.opinion("hist-00001")
     assert (slot.seq, slot.rating) == (2, 5.0)
     assert recovered.opinions_stale == stale_before + 1
     assert recovered.accepted_envelopes == accepted_before + 1

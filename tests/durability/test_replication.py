@@ -42,7 +42,7 @@ def make_pair(catalog, root, hook=None, n_shards=1):
     journal = DurableJournal(
         root / "primary",
         n_lanes=n_shards,
-        lane_of=primary.router.shard_of if n_shards > 1 else None,
+        lane_of=primary.router.shard_of,
     )
     attach_journal(primary, journal)
     return ReplicatedRSPServer(

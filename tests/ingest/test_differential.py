@@ -1,15 +1,15 @@
 """The intake loop against the per-record reference: the identity obligation.
 
-Both deployments run every envelope through one batch loop,
-:func:`repro.service.intake.intake`.  This suite proves it equal to the
-service's original per-record intake, kept verbatim in ``oracle.py``:
+The server runs every envelope through one batch loop,
+:func:`repro.service.intake.intake`, at every shard count.  This suite proves it equal to the
+service's original per-record intake, kept verbatim in ``tests/oracle.py``:
 for any delivery stream, with or without fault chaos and durability, the
 loop produces
 
 * the same accept/reject/duplicate classification for every envelope,
 * the same epoch report digests, opinion summaries, and fraud verdicts,
-* the same telemetry export — in both scopes on the monolith, and in the
-  deployment-invariant AGGREGATE scope on shards,
+* the same telemetry export — in both scopes on one lane, and in the
+  deployment-invariant AGGREGATE scope on several,
 * the same WAL, byte for byte, under the same global sequence numbers.
 
 The epoch-level matrix drives the full pipeline with the oracle as the
@@ -40,7 +40,7 @@ from repro.telemetry import AGGREGATE, Telemetry
 from repro.util.clock import DAY, HOUR
 from repro.world.behavior import BehaviorConfig, BehaviorSimulator
 from repro.world.population import TownConfig, build_town
-from tests.ingest.oracle import OracleServer, in_lane_order
+from tests.oracle import OracleServer, in_lane_order, oracle_server
 
 HORIZON_DAYS = 28.0
 HORIZON = HORIZON_DAYS * DAY
@@ -91,12 +91,12 @@ def world():
 
 
 def run(world, n_shards=1, workers=0, plan=None, retransmit=None, oracle=False):
-    """One ``run_epochs`` pass; ``oracle`` swaps the monolith for the oracle."""
+    """One ``run_epochs`` pass; ``oracle`` serves it from the oracle."""
     town, result, classifier = world
     config = PipelineConfig(horizon_days=HORIZON_DAYS, seed=5, retransmit=retransmit)
     with pytest.MonkeyPatch.context() as patch:
         if oracle:
-            patch.setattr(epochs, "RSPServer", OracleServer)
+            patch.setattr(epochs, "build_server", oracle_server)
         return run_epochs(
             town,
             result,
@@ -207,27 +207,25 @@ def paired_servers(n_shards=0, require_tokens=False):
 def deliver(oracle, dut, deliveries, now=100.0):
     """One batch into both (the oracle sees it in the DUT's lane order);
     both must accept the same number of envelopes."""
-    ordered = (
-        in_lane_order(deliveries, dut.router.n_shards)
-        if isinstance(dut, ShardedRSPServer)
-        else deliveries
-    )
+    ordered = in_lane_order(deliveries, dut.router.n_shards)
     assert oracle.receive_all(ordered, now=now) == dut.receive_all(deliveries, now=now)
 
 
-def assert_same_story(oracle_pair, dut_pair):
+def assert_same_story(oracle_pair, dut_pair, scope=None):
+    """Same counters, same telemetry export.
+
+    With one lane the export is compared in full, both scopes: the loop
+    emits once per batch what the oracle emits per envelope.  Per-shard
+    detail (``rsp.shard.batch``, and after maintenance
+    ``rsp.shard.histories``) lives under DEPLOYMENT scope, so with more
+    lanes, or after maintenance, only AGGREGATE is compared.
+    """
     (oracle, tele_o), (dut, tele_d) = oracle_pair, dut_pair
     for attr in COUNTERS:
         assert getattr(oracle, attr) == getattr(dut, attr), attr
-    if isinstance(dut, ShardedRSPServer):
-        # Per-shard detail (rsp.shard.batch) lives under DEPLOYMENT scope.
-        assert tele_o.metrics.export_json(AGGREGATE) == tele_d.metrics.export_json(
-            AGGREGATE
-        )
-    else:
-        # Full export, both scopes: the loop emits once per batch what the
-        # oracle emits per envelope, and the exports are identical.
-        assert tele_o.metrics.export_json() == tele_d.metrics.export_json()
+    if dut.router.n_shards > 1:
+        scope = AGGREGATE
+    assert tele_o.metrics.export_json(scope) == tele_d.metrics.export_json(scope)
 
 
 @pytest.mark.parametrize("n_shards", [0, 4])
@@ -251,7 +249,7 @@ def test_maintenance_after_batched_intake_matches(n_shards):
     report_d = pair_d[0].run_maintenance(now=200.0)
     assert pair_o[0].all_summaries() == pair_d[0].all_summaries()
     assert repr(report_o) == repr(report_d)
-    assert_same_story(pair_o, pair_d)
+    assert_same_story(pair_o, pair_d, scope=AGGREGATE)
 
 
 def entity_record(catalog):

@@ -30,8 +30,9 @@ def journaled(catalog, n_shards, directory):
     server = make_server(catalog, n_shards)
     telemetry = Telemetry()
     server.attach_telemetry(telemetry)
-    lane_of = server.router.shard_of if n_shards > 1 else None
-    journal = DurableJournal(directory, n_lanes=n_shards, lane_of=lane_of)
+    journal = DurableJournal(
+        directory, n_lanes=n_shards, lane_of=server.router.shard_of
+    )
     attach_journal(server, journal)
     return server, telemetry, journal
 

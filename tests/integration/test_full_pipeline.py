@@ -71,7 +71,7 @@ class TestPrivacyProperties:
         """No history identifier equals or embeds a user id."""
         town, _, out = outcome
         user_ids = {user.user_id for user in town.users}
-        for history in out.server.history_store.all_histories():
+        for history in out.server.all_histories():
             assert history.history_id not in user_ids
             assert not any(uid in history.history_id for uid in user_ids)
 
@@ -80,7 +80,7 @@ class TestPrivacyProperties:
         assert out.server.rejected_envelopes == 0  # all clients played by the rules
         # and the number of stored records is bounded by issued tokens:
         # each record spent exactly one token.
-        n_stored = out.server.history_store.n_records + out.server.n_opinions
+        n_stored = out.server.n_records + out.server.n_opinions
         assert n_stored == out.server._redeemer.n_redeemed
 
     def test_histories_per_user_entity_pair(self, outcome):
@@ -139,7 +139,7 @@ class TestCorrectionPropagation:
             e for e in client.transparency.audit() if e.effective_rating is not None
         )
         history_id = client.identity.history_id(entry.entity_id)
-        before = server._opinions[history_id].rating
+        before = server.opinion(history_id).rating
 
         corrected = 1.0 if before > 2.5 else 5.0
         client.transparency.correct(entry.entity_id, corrected)
@@ -150,7 +150,7 @@ class TestCorrectionPropagation:
         client.sync(network, server.issuer, now=200 * DAY)
         server.receive_all(network.deliveries_until(203 * DAY))
 
-        assert server._opinions[history_id].rating == corrected
+        assert server.opinion(history_id).rating == corrected
         server.run_maintenance()
         summary = server.summary(entry.entity_id)
         assert summary is not None

@@ -119,8 +119,8 @@ class TestEpochs:
         epochs = run_epochs(town, result, config, n_epochs=4)
         single = run_full_pipeline(town, result, config)
         assert (
-            epochs.server.history_store.n_records
-            == single.server.history_store.n_records
+            epochs.server.n_records
+            == single.server.n_records
         )
         assert epochs.server.n_opinions == single.server.n_opinions
 
@@ -129,7 +129,7 @@ class TestEpochs:
         duplicates."""
         town, result, config = epoch_world
         outcome = run_epochs(town, result, config, n_epochs=4)
-        assert outcome.server.n_opinions == len(outcome.server._opinions)
+        assert outcome.server.n_opinions == len(outcome.server.all_opinions())
 
     def test_requires_positive_epochs(self, epoch_world):
         town, result, config = epoch_world

@@ -48,6 +48,7 @@ SCHEDULES = {
     "grow-noncanonical": (2, ["1:split:1", "2:split:0"]),
     "shrink": (8, ["2:merge:0:1"]),
     "mixed": (2, ["1:split:0", "2:split:2", "3:merge:1:2"]),
+    "grow-from-one": (1, ["1:split:0", "2:split:0"]),
 }
 
 
@@ -127,10 +128,6 @@ class TestScheduledMatrix:
         assert "rsp.reshard.splits" in deployment
         assert "rsp.reshard.moved" in deployment
         assert "rsp.reshard" not in outcome.telemetry.export_json(scope=AGGREGATE)
-
-    def test_monolith_rejects_resharding(self, world):
-        with pytest.raises(ValueError, match="shard"):
-            run(world, n_shards=1, schedule=["1:split:0"])
 
 
 class TestAutoscaledMatrix:

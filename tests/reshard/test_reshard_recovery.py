@@ -272,3 +272,49 @@ class TestReplicatedResharding:
         recover_server(recovered, tmp_path / "promoted")
         assert recovered.router.n_shards == N_SHARDS + 1
         assert final_digest(recovered, now=FINAL_NOW) == expected_digest
+
+
+class TestOneShardRunThatResharded:
+    """Regression: a run that started on one shard and split live.
+
+    ``repro epochs --shards 1 --reshard 2:split:0 --durable-dir D``
+    journals the split; ``repro recover --shards 1 --durable-dir D`` must
+    start from the same single shard and replay the split on top.  (When
+    the one-shard server was a separate monolith class, no ``--shards``
+    value could recover ``D``.)
+    """
+
+    EPOCHS_ARGS = ["--users", "20", "--days", "20", "--seed", "42"]
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_cli_recover_reproduces_the_live_summaries(self, tmp_path, workers):
+        from repro.cli import _build_world, _recover, build_parser
+        from repro.orchestration.epochs import run_epochs
+        from repro.orchestration.pipeline import PipelineConfig
+        from repro.reshard import parse_schedule
+
+        parser = build_parser()
+        args = parser.parse_args(["epochs", *self.EPOCHS_ARGS])
+        town, result = _build_world(args)
+        outcome = run_epochs(
+            town,
+            result,
+            PipelineConfig(horizon_days=float(args.days), seed=args.seed),
+            n_epochs=3,
+            n_shards=1,
+            workers=workers,
+            durable_dir=tmp_path,
+            reshard_schedule=parse_schedule(["2:split:0"]),
+        )
+        assert outcome.server.router.n_shards == 2
+        live = outcome.server.all_summaries()
+        assert live
+
+        recovered, _, _ = _recover(
+            parser.parse_args(
+                ["recover", *self.EPOCHS_ARGS, "--shards", "1", "--durable-dir", str(tmp_path)]
+            )
+        )
+        assert recovered.router == outcome.server.router
+        recovered.run_maintenance(now=22 * DAY)
+        assert recovered.all_summaries() == live

@@ -56,7 +56,7 @@ def make_server(n_shards=4):
     )
     server.attach_telemetry(Telemetry())
     counting = CountingRouter(n_shards)
-    server.router = counting
+    server._install_router(counting)
     return server, counting, traffic
 
 

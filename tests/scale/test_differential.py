@@ -1,9 +1,10 @@
-"""The differential matrix: sharded vs monolithic, end to end.
+"""The differential matrix: every deployment vs the reference, end to end.
 
 Every cell runs the full epochs pipeline — simulated town, on-device
 clients, mixnet, token issuance, maintenance — twice: once against the
-monolithic :class:`RSPServer` and once against a
-:class:`ShardedRSPServer` configuration, and asserts *exact* equality of
+per-entity reference monolith (``tests/oracle.py``) and once against a
+server configuration (one shard or many, serial or pooled), and asserts
+*exact* equality of
 
 * the per-epoch report digest (``EpochsOutcome.reports_digest()``),
 * every entity's opinion summary (all floats, bit for bit),
@@ -12,18 +13,21 @@ monolithic :class:`RSPServer` and once against a
 The chaos cells repeat the comparison under a fault plan with drops,
 duplicates and retransmission, where intake interleaving is at its
 nastiest.  This suite is the proof obligation of the scale package:
-sharding and the process pool are pure implementation detail.
+sharding, the columnar kernel and the process pool are pure
+implementation detail.
 """
 
 import pytest
 
 from repro.faults import DropFault, DuplicateFault, FaultPlan, Window
+from repro.orchestration import epochs
 from repro.orchestration.epochs import run_epochs
 from repro.orchestration.pipeline import PipelineConfig, train_classifier
 from repro.privacy.uploads import RetransmitPolicy
 from repro.util.clock import DAY, HOUR
 from repro.world.behavior import BehaviorConfig, BehaviorSimulator
 from repro.world.population import TownConfig, build_town
+from tests.oracle import oracle_server
 
 HORIZON_DAYS = 28.0
 HORIZON = HORIZON_DAYS * DAY
@@ -48,20 +52,25 @@ def world():
     return town, result, classifier
 
 
-def run(world, seed, n_shards=1, workers=0, plan=None, retransmit=None):
+def run(world, seed, n_shards=1, workers=0, plan=None, retransmit=None, oracle=False):
+    """One ``run_epochs`` pass; ``oracle`` serves it from the reference
+    monolith in ``tests/oracle.py`` instead of the server."""
     town, result, classifier = world
     config = PipelineConfig(horizon_days=HORIZON_DAYS, seed=seed, retransmit=retransmit)
-    return run_epochs(
-        town,
-        result,
-        config,
-        n_epochs=N_EPOCHS,
-        classifier=classifier,
-        max_users=MAX_USERS,
-        fault_plan=plan,
-        n_shards=n_shards,
-        workers=workers,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        if oracle:
+            patch.setattr(epochs, "build_server", oracle_server)
+        return run_epochs(
+            town,
+            result,
+            config,
+            n_epochs=N_EPOCHS,
+            classifier=classifier,
+            max_users=MAX_USERS,
+            fault_plan=plan,
+            n_shards=n_shards,
+            workers=workers,
+        )
 
 
 def verdict_set(outcome):
@@ -81,8 +90,8 @@ def assert_equivalent(baseline, candidate):
 
 @pytest.fixture(scope="module")
 def baselines(world):
-    """Monolithic reference runs, one per seed, shared across the matrix."""
-    return {seed: run(world, seed) for seed in (29, 31)}
+    """Reference-monolith runs, one per seed, shared across the matrix."""
+    return {seed: run(world, seed, oracle=True) for seed in (29, 31)}
 
 
 class TestCleanMatrix:
@@ -106,9 +115,9 @@ class TestCleanMatrix:
 class TestChaosMatrix:
     @pytest.fixture(scope="class")
     def chaos_baseline(self, world):
-        return run(world, 29, plan=CHAOS, retransmit=RETRY)
+        return run(world, 29, plan=CHAOS, retransmit=RETRY, oracle=True)
 
-    @pytest.mark.parametrize("n_shards,workers", [(2, 0), (8, 0), (8, 2)])
+    @pytest.mark.parametrize("n_shards,workers", [(1, 0), (2, 0), (8, 0), (8, 2)])
     def test_chaos_run_is_indistinguishable(
         self, world, chaos_baseline, n_shards, workers
     ):

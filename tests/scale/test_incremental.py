@@ -2,10 +2,11 @@
 
 The matrix half of this suite runs the full epochs pipeline with
 ``incremental=True`` against a from-scratch (``incremental=False``)
-monolithic baseline and asserts *exact* equality of the per-epoch report
+baseline served by the per-entity reference monolith (``tests/oracle.py``)
+and asserts *exact* equality of the per-epoch report
 digest, every entity summary, and the aggregate telemetry digest — for
 every deployment in the acceptance grid (shards {1, 4, 8} × workers
-{1, 4}, plus the monolith), clean and under chaos.  An explicit
+{1, 4}, plus one serial shard), clean and under chaos.  An explicit
 cache-hit guard keeps the equality from being vacuous: the incremental
 runs must actually skip work.
 
@@ -15,7 +16,7 @@ nothing, an entity whose last history is rejected loses its cached
 summary, a changed kind profile conservatively re-dirties the kind, a
 delayed (reordered) opinion re-upload never clobbers a newer one, and an
 interaction upload whose identifier is bound to another entity is
-rejected as ``history-mismatch`` — in both deployments.
+rejected as ``history-mismatch`` — on one shard and on four.
 """
 
 import pytest
@@ -23,6 +24,7 @@ import pytest
 from repro.core.aggregation import OpinionUpload
 from repro.core.protocol import Envelope
 from repro.faults import DropFault, DuplicateFault, FaultPlan, Window
+from repro.orchestration import epochs
 from repro.orchestration.epochs import run_epochs
 from repro.orchestration.pipeline import PipelineConfig, train_classifier
 from repro.privacy.anonymity import Delivery
@@ -35,6 +37,7 @@ from repro.telemetry import AGGREGATE, Telemetry
 from repro.util.clock import DAY, HOUR
 from repro.world.behavior import BehaviorConfig, BehaviorSimulator
 from repro.world.population import TownConfig, build_town
+from tests.oracle import OracleServer, oracle_server
 
 HORIZON_DAYS = 28.0
 HORIZON = HORIZON_DAYS * DAY
@@ -59,21 +62,34 @@ def world():
     return town, result, classifier
 
 
-def run(world, n_shards=1, workers=0, plan=None, retransmit=None, incremental=True):
+def run(
+    world,
+    n_shards=1,
+    workers=0,
+    plan=None,
+    retransmit=None,
+    incremental=True,
+    oracle=False,
+):
+    """One ``run_epochs`` pass; ``oracle`` serves it from the reference
+    monolith in ``tests/oracle.py`` instead of the server."""
     town, result, classifier = world
     config = PipelineConfig(horizon_days=HORIZON_DAYS, seed=29, retransmit=retransmit)
-    return run_epochs(
-        town,
-        result,
-        config,
-        n_epochs=N_EPOCHS,
-        classifier=classifier,
-        max_users=MAX_USERS,
-        fault_plan=plan,
-        n_shards=n_shards,
-        workers=workers,
-        incremental=incremental,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        if oracle:
+            patch.setattr(epochs, "build_server", oracle_server)
+        return run_epochs(
+            town,
+            result,
+            config,
+            n_epochs=N_EPOCHS,
+            classifier=classifier,
+            max_users=MAX_USERS,
+            fault_plan=plan,
+            n_shards=n_shards,
+            workers=workers,
+            incremental=incremental,
+        )
 
 
 def assert_equivalent(baseline, candidate):
@@ -84,15 +100,16 @@ def assert_equivalent(baseline, candidate):
     )
 
 
-#: The acceptance grid: monolith plus shards {1, 4, 8} × workers {1, 4}.
+#: The acceptance grid: one serial shard plus shards {1, 4, 8} × workers {1, 4}.
 DEPLOYMENTS = [(1, 0), (1, 1), (1, 4), (4, 1), (4, 4), (8, 1), (8, 4)]
 
 
 class TestCleanMatrix:
     @pytest.fixture(scope="class")
     def full_baseline(self, world):
-        """Monolithic from-scratch recompute: the contractual reference."""
-        return run(world, incremental=False)
+        """The oracle's per-entity from-scratch recompute: the contractual
+        reference."""
+        return run(world, incremental=False, oracle=True)
 
     @pytest.mark.parametrize("n_shards,workers", DEPLOYMENTS)
     def test_incremental_matches_full_recompute(
@@ -118,7 +135,7 @@ class TestCleanMatrix:
 class TestChaosMatrix:
     @pytest.fixture(scope="class")
     def chaos_full_baseline(self, world):
-        return run(world, plan=CHAOS, retransmit=RETRY, incremental=False)
+        return run(world, plan=CHAOS, retransmit=RETRY, incremental=False, oracle=True)
 
     @pytest.mark.parametrize("n_shards,workers", [(1, 0), (4, 1), (8, 2)])
     def test_chaos_incremental_matches_full(
@@ -139,7 +156,7 @@ class TestChaosMatrix:
 
 
 def make_servers(seed=40, n_users=16):
-    """One monolithic and one sharded server over the same small town."""
+    """A one-shard and a four-shard server over the same small town."""
     town = build_town(TownConfig(n_users=n_users), seed=seed)
     mono = RSPServer(catalog=town.entities, key_seed=seed, require_tokens=False)
     sharded = ShardedRSPServer(
@@ -275,7 +292,7 @@ class TestInvalidationUnits:
         full recompute would."""
         town, mono, sharded = make_servers()
         server = self.pick(flavor, mono, sharded)
-        full = RSPServer(
+        full = OracleServer(
             catalog=town.entities,
             key_seed=40,
             require_tokens=False,
@@ -357,12 +374,6 @@ class TestSeqOrdering:
     def pick(self, flavor, mono, sharded):
         return mono if flavor == "mono" else sharded
 
-    def slot(self, flavor, server, history_id):
-        if flavor == "mono":
-            return server._opinions[history_id]
-        shard = server.shards[server.router.shard_of(history_id)]
-        return shard.opinions[history_id]
-
     def test_delayed_stale_upload_cannot_clobber_newer(self, flavor):
         town, mono, sharded = make_servers()
         server = self.pick(flavor, mono, sharded)
@@ -381,8 +392,8 @@ class TestSeqOrdering:
         # The re-upload outruns the delayed original.
         assert deliver(server, newer, nonce=b"new", arrival=2.0)
         assert deliver(server, stale, nonce=b"old", arrival=6.0 * HOUR)
-        assert self.slot(flavor, server, history_id).rating == 5.0
-        assert self.slot(flavor, server, history_id).seq == 1
+        assert server.opinion(history_id).rating == 5.0
+        assert server.opinion(history_id).seq == 1
         assert server.opinions_stale == 1
         assert telemetry.total("rsp.opinions.stale") == 1
         # The straggler is *accepted* (correct sender, no retransmit
@@ -403,7 +414,7 @@ class TestSeqOrdering:
         )
         assert deliver(server, first, nonce=b"a")
         assert deliver(server, second, nonce=b"b")
-        assert self.slot(flavor, server, history_id).rating == 4.0
+        assert server.opinion(history_id).rating == 4.0
         assert server.opinions_stale == 0
 
     def test_equal_seq_keeps_existing(self, flavor):
@@ -422,5 +433,5 @@ class TestSeqOrdering:
         )
         assert deliver(server, original, nonce=b"a")
         assert deliver(server, copy, nonce=b"b")
-        assert self.slot(flavor, server, history_id).rating == 3.0
+        assert server.opinion(history_id).rating == 3.0
         assert server.opinions_stale == 1

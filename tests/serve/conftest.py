@@ -28,7 +28,7 @@ TRAFFIC = WorkloadConfig(
 
 
 def make_server(n_shards=0, catalog=None, incremental=True):
-    """A tokenless server with real telemetry attached (0 = monolith)."""
+    """A tokenless server with real telemetry attached (0 = RSPServer, one shard)."""
     if catalog is None:
         catalog = SyntheticTraffic(TRAFFIC).catalog
     if n_shards:

@@ -23,10 +23,12 @@ from repro.privacy.history_store import InteractionUpload
 from repro.serve.cache import SummaryVersionCache
 from repro.serve.engine import ServeQuery
 from repro.serve.loadgen import QueryWorkload, SyntheticQueries
+from repro.telemetry import Telemetry
 from repro.util.rng import make_rng
 from repro.world.entities import Entity, EntityKind
 from repro.world.geography import Point
 
+from tests.oracle import OracleServer
 from tests.serve.conftest import TRAFFIC, deliver_records, make_server
 
 
@@ -224,6 +226,20 @@ class _FlippingDetector(FraudDetector):
         )
 
 
+def engine_path_server(catalog):
+    """A server whose every cycle runs the engine's per-entity pass.
+
+    The server itself sends a cycle that tracks at least half of its
+    entities to the columnar kernel, which a one- or two-entity catalog
+    always does; the reference monolith (``tests/oracle.py``) runs every
+    cycle through ``MaintenanceEngine.execute``, where the detector is
+    patched.  The serving layer on top is the production one.
+    """
+    server = OracleServer(catalog, require_tokens=False)
+    server.attach_telemetry(Telemetry())
+    return server
+
+
 def interaction(history_id, entity_id, event_time):
     return InteractionUpload(
         history_id=history_id,
@@ -262,7 +278,7 @@ def test_flipped_history_evicts_the_claimed_entitys_cached_results(
         location=Point(6.0, 2.0),
         quality=3.0,
     )
-    server = make_server(catalog=[owner, claimed])
+    server = engine_path_server([owner, claimed])
     notified: list[frozenset] = []
     server._engine.subscribe(notified.append)
     deliver_records(
@@ -329,7 +345,7 @@ def test_same_owner_flip_changes_the_served_answer(monkeypatch):
         location=Point(2.0, 2.0),
         quality=3.0,
     )
-    server = make_server(catalog=[owner])
+    server = engine_path_server([owner])
     deliver_records(
         server,
         [interaction("h-own", owner.entity_id, 1000.0 * i) for i in range(4)]

@@ -1,7 +1,7 @@
 """The read path's byte-identity obligation, across the deployment matrix.
 
 The claim of :mod:`repro.serve` is that every serving knob is invisible
-in the answers: monolith vs 1/4/8 shards, cold vs warm cache, before vs
+in the answers: 1/4/8 shards, cold vs warm cache, before vs
 after incremental maintenance, clean traffic vs chaos — the rendered
 responses are byte-identical, and the run-level ``serve_digest`` (plus
 the AGGREGATE telemetry export, which now carries the ``rsp.serve.*``
@@ -16,7 +16,8 @@ Two layers, mirroring ``tests/ingest/test_differential.py``:
 * the **direct server matrix** pins the cache-temperature axis the epoch
   driver can only reach implicitly: the same query list answered cold,
   warm (from cache), and after a maintenance cycle invalidated part of
-  the cache — always against the monolith's uncached recompute oracle.
+  the cache — always against the uncached recompute of the reference
+  monolith (``tests/oracle.py``).
 """
 
 import pytest
@@ -33,6 +34,7 @@ from repro.telemetry import AGGREGATE, Telemetry
 from repro.util.clock import DAY, HOUR
 from repro.world.behavior import BehaviorConfig, BehaviorSimulator
 from repro.world.population import TownConfig, build_town
+from tests.oracle import OracleServer
 
 HORIZON_DAYS = 28.0
 HORIZON = HORIZON_DAYS * DAY
@@ -46,6 +48,7 @@ CHAOS = FaultPlan(
     duplicates=(DuplicateFault(Window(0.0, HORIZON + 30 * DAY), 0.10),),
 )
 RETRY = RetransmitPolicy(max_attempts=2, min_interval=6 * HOUR)
+from tests.oracle import OracleServer
 
 
 # ------------------------------------------------------- epoch-level matrix
@@ -190,7 +193,7 @@ def test_cold_warm_and_post_maintenance_reads_match_the_oracle(
 ):
     config = WORKLOADS[impurity]
     t_ref, t_dut = SyntheticTraffic(config), SyntheticTraffic(config)
-    reference = RSPServer(t_ref.catalog, require_tokens=False)
+    reference = OracleServer(t_ref.catalog, require_tokens=False)
     dut = ShardedRSPServer(
         t_dut.catalog, n_shards=n_shards, workers=0, require_tokens=False
     )
@@ -205,8 +208,8 @@ def test_cold_warm_and_post_maintenance_reads_match_the_oracle(
     reference.run_maintenance(now=2000.0)
     dut.run_maintenance(now=2000.0)
 
-    # Cold: every answer is a fresh compute on both deployments, and the
-    # monolith's *uncached* recompute is the oracle for the sharded DUT.
+    # Cold: every answer is a fresh compute on both servers, and the
+    # reference monolith's *uncached* recompute is the oracle for the DUT.
     oracle = renders(reference.serving.query_uncached, queries)
     cold = renders(dut.query, queries)
     assert cold == oracle

@@ -52,7 +52,7 @@ class TestIntake:
         entity_id = town.entities[0].entity_id
         [token] = token_for(server)
         assert server.receive(delivery_of(interaction_record(identity, entity_id), token))
-        assert server.history_store.n_records == 1
+        assert server.n_records == 1
 
     def test_missing_token_rejected(self, server_and_town):
         server, town = server_and_town
@@ -255,14 +255,14 @@ class TestTransactionalIntake:
         assert server.rejected_envelopes == 1
         assert server.accepted_envelopes == 0
         assert server.n_unique_nonces == 0
-        assert server.history_store.n_records == 0
+        assert server.n_records == 0
         # Retransmission of the repaired record, same nonce: accepted.
         retry = Envelope(record=good, token=None, nonce=b"keep-me")
         assert server.receive(
             Delivery(payload=retry, arrival_time=2.0, channel_tag="c")
         )
         assert server.accepted_envelopes == 1
-        assert server.history_store.n_records == 1
+        assert server.n_records == 1
 
     def test_poisoned_record_does_not_block_the_batch(self):
         town = build_town(TownConfig(n_users=3), seed=24)
